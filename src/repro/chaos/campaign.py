@@ -46,14 +46,12 @@ from repro.chaos.verdict import (
     judge,
 )
 from repro.mvx.events import ResponseAction
-from repro.mvx.variant_host import VariantHost
 from repro.observability.health import HealthMonitor, default_rules
 from repro.observability.recorder import (
     KIND_CHAOS_INJECTED,
     KIND_CHAOS_RESTORED,
     AuditChainError,
 )
-from repro.serving.errors import ServingError
 from repro.serving.loadgen import OpenLoopLoadGenerator
 
 __all__ = ["ChaosCampaign", "PlannedInjection"]
@@ -395,11 +393,7 @@ class ChaosCampaign:
                 deadline_s=self.deadline_s,
             )
             result = ticket.result(self.deadline_s + 2.0)
-        except ServingError as exc:
-            return ProbeResult(
-                kind="malicious", completed=False, corrupted=None, error=str(exc)
-            )
-        except Exception as exc:  # timeout waiting on the ticket, etc.
+        except Exception as exc:  # a ServingError, a ticket wait timeout...
             return ProbeResult(
                 kind="malicious", completed=False, corrupted=None, error=str(exc)
             )
@@ -432,36 +426,16 @@ class ChaosCampaign:
         DROP_VARIANT retires the binding permanently (by design: the
         paper's response drops the outvoted variant).  A *campaign*
         needs the deployment back at full strength before the next
-        injection, so this is the operator's re-provision step: the
-        supervisor's budgeted restart in cluster mode, a fresh
-        place-and-bind in in-process mode.
+        injection, so this is the operator's re-provision step
+        (:meth:`MvteeSystem.reprovision`).
         """
         missing = [entry for entry in baseline_roster if entry not in self.target.live()]
-        cluster = self.target.cluster
         for index, vid in missing:
-            if cluster is not None:
-                try:
-                    cluster.restart_now(vid)
-                except KeyError:
-                    pass
-            else:
-                artifact = next(
-                    (
-                        a
-                        for a in self.system.pool.for_partition(index)
-                        if a.variant_id == vid
-                    ),
-                    None,
-                )
-                if artifact is None:
-                    continue
-                host = VariantHost.place(
-                    artifact,
-                    self.system.orchestrator._pick_cpu(),
-                    enclave_id=f"chaos-heal-{vid}-{int(time.monotonic() * 1000)}",
-                )
-                self.system.monitor.bind_variant(index, artifact, host, event="restart")
-                self.system.hosts[vid] = host
+            try:
+                self.system.reprovision(index, vid)
+            except KeyError:
+                pass  # no slot or artifact left to re-provision from
+        cluster = self.target.cluster
         if missing:
             deadline = time.monotonic() + self.recovery_timeout_s
             while time.monotonic() < deadline:

@@ -8,12 +8,16 @@ incarnation is clean by construction, so there is nothing to undo), and
 calling it twice is a no-op.  Used as a context manager, restore runs
 even when the window raises.
 
-Two injection routes, because process-mode workers are *forked copies*:
-arming a fault on the parent-side runtime after the fork never reaches
-the child.  :meth:`InjectionTarget.apply_spec` sends a wire-safe fault
-spec (:func:`repro.runtime.faults.apply_fault_spec`) through the
-worker's ``inject`` op in process mode and applies it directly to the
-runtime in-process.
+One control seam for both execution modes: :meth:`InjectionTarget.control`
+returns the variant's :class:`~repro.mvx.variant_host.VariantControl` --
+its live worker process, else its bound in-process host -- and every
+runtime fault travels as a wire-safe spec
+(:func:`repro.runtime.faults.apply_fault_spec`) through
+``inject_fault``.  A worker runs the spec through the same
+:class:`~repro.mvx.variant_host.VariantHost` method inside the child
+(its runtime is a forked copy the parent cannot reach).  Only the
+process-level faults -- SIGKILL, SIGSTOP and shared-memory starvation --
+address the worker itself.
 
 Detection modes (consumed by :mod:`repro.chaos.verdict`):
 
@@ -29,6 +33,7 @@ Detection modes (consumed by :mod:`repro.chaos.verdict`):
 
 from __future__ import annotations
 
+import itertools
 import os
 import signal
 import time
@@ -40,8 +45,7 @@ from repro.attacks.cves import MALICIOUS_MARKER, CveCase, craft_malicious_input
 from repro.attacks.storage import ForkAttack, RollbackAttack
 from repro.crypto.keys import KeyManager
 from repro.crypto.sealed import seal_bytes
-from repro.mvx.variant_host import VariantHost, VariantUnavailable
-from repro.runtime.faults import apply_fault_spec
+from repro.mvx.variant_host import VariantControl, VariantUnavailable
 from repro.tee.filesystem import MonotonicCounterService, ProtectedFs
 
 __all__ = [
@@ -110,6 +114,11 @@ class InjectionTarget:
                     return connection
         return None
 
+    def runtime(self, variant_id: str):
+        """The bound host's runtime (the parent-side copy in process mode)."""
+        connection = self.connection(variant_id)
+        return connection.host.runtime if connection is not None else None
+
     def worker(self, variant_id: str):
         """The live worker process of one variant (None in-process/down)."""
         cluster = self.cluster
@@ -122,29 +131,27 @@ class InjectionTarget:
 
     # -- fault routing --------------------------------------------------
 
-    def apply_spec(self, variant_id: str, spec: dict) -> bool:
-        """Route one fault spec to wherever the variant's runtime lives.
-
-        Returns True when applied; False when the variant is gone or the
-        route failed transiently (restore paths treat that as "nothing
-        left to undo").
-        """
+    def control(self, variant_id: str) -> VariantControl | None:
+        """The variant's control seam: its live worker, else its bound host."""
         worker = self.worker(variant_id)
         if worker is not None:
-            try:
-                worker.inject_fault(spec)
-                return True
-            except VariantUnavailable:
-                return False
+            return worker
         connection = self.connection(variant_id)
-        if connection is None:
-            return False
-        runtime = connection.host.runtime
-        if runtime is None:
+        return connection.host if connection is not None else None
+
+    def apply_spec(self, variant_id: str, spec: dict) -> bool:
+        """Apply one fault spec wherever the variant's runtime lives.
+
+        Returns True when applied; False when the variant is gone or
+        rejected the spec (restore paths treat that as "nothing left to
+        undo").
+        """
+        control = self.control(variant_id)
+        if control is None:
             return False
         try:
-            apply_fault_spec(runtime, spec)
-        except (KeyError, ValueError, TypeError, IndexError, AssertionError):
+            control.inject_fault(spec)
+        except VariantUnavailable:
             return False
         return True
 
@@ -216,6 +223,67 @@ def _pick(rng: np.random.Generator, candidates: list):
     return candidates[int(rng.integers(len(candidates)))]
 
 
+@dataclass
+class _VictimInjector(ChaosInjector):
+    """An injector aimed at one variant drawn at plan time.
+
+    ``inject`` applies the fault through the victim's
+    :class:`~repro.mvx.variant_host.VariantControl` and remembers its
+    incarnation; ``restore`` reverts only that same incarnation -- a
+    variant re-bootstrapped mid-window is clean by construction.
+    """
+
+    def __post_init__(self):
+        self._victim: tuple[int, str] | None = None
+        self._incarnation = None
+
+    def candidates(self, target: InjectionTarget) -> list[tuple[int, str]]:
+        """The ordered (partition, variant) pool the victim is drawn from."""
+        return target.replicated()
+
+    def supported(self, target: InjectionTarget) -> bool:
+        return bool(self.candidates(target))
+
+    def resolve(self, target: InjectionTarget, rng: np.random.Generator) -> dict:
+        self._victim = _pick(rng, self.candidates(target))
+        self.targets = [self._victim[1]] if self._victim else []
+        return {
+            "victim": list(self._victim) if self._victim else None,
+            **self._params(target, rng),
+        }
+
+    def _params(self, target: InjectionTarget, rng: np.random.Generator) -> dict:
+        """Further plan params, drawn after the victim."""
+        return {}
+
+    def _apply(self, control: VariantControl) -> None:
+        raise NotImplementedError
+
+    def _revert(self, control: VariantControl) -> None:
+        raise NotImplementedError
+
+    def inject(self, target: InjectionTarget) -> None:
+        control = target.control(self._victim[1]) if self._victim else None
+        if control is None:
+            raise InjectionError(f"{self.name}: no reachable victim ({self._victim})")
+        try:
+            self._apply(control)
+        except VariantUnavailable as exc:
+            raise InjectionError(f"{self.name}: {exc}") from exc
+        self._incarnation = control.incarnation
+
+    def restore(self, target: InjectionTarget) -> None:
+        incarnation, self._incarnation = self._incarnation, None
+        if incarnation is None:
+            return
+        control = target.control(self._victim[1])
+        if control is not None and control.incarnation == incarnation:
+            try:
+                self._revert(control)
+            except VariantUnavailable:
+                pass  # died mid-window; its successor starts clean
+
+
 # ----------------------------------------------------------------------
 # Attack adapters (repro.attacks under live load)
 # ----------------------------------------------------------------------
@@ -251,23 +319,18 @@ class CveInjector(ChaosInjector):
         self._probe_seeds: list[int] = []
 
     def _eligible(self, target: InjectionTarget) -> list[tuple[int, str]]:
-        armed = []
-        for index in sorted(target.monitor.connections):
-            connections = target.monitor.connections[index]
-            if self.partitions is not None and index not in self.partitions:
-                continue
-            if len(connections) < MASKABLE_REPLICAS:
-                continue
-            affected = sorted(
-                (
-                    c.variant_id
-                    for c in connections
-                    if c.host.runtime is not None and self.case.affects(c.host.runtime)
-                ),
-            )
-            for vid in affected[: self.max_armed_per_partition]:
-                armed.append((index, vid))
-        return armed
+        affected = [
+            (index, vid)
+            for index, vid in target.replicated()
+            if (self.partitions is None or index in self.partitions)
+            and target.runtime(vid) is not None
+            and self.case.affects(target.runtime(vid))
+        ]
+        return [
+            entry
+            for _, group in itertools.groupby(affected, key=lambda entry: entry[0])
+            for entry in list(group)[: self.max_armed_per_partition]
+        ]
 
     def supported(self, target: InjectionTarget) -> bool:
         return bool(self._eligible(target))
@@ -317,7 +380,7 @@ class CveInjector(ChaosInjector):
 
 
 @dataclass
-class FrameFlipInjector(ChaosInjector):
+class FrameFlipInjector(_VictimInjector):
     """Library bit-flip in one victim variant's BLAS backend.
 
     The FrameFlip attack flips a bit in library code mapped into one
@@ -333,52 +396,43 @@ class FrameFlipInjector(ChaosInjector):
     fault_class = "frameflip"
     detection = "incident"
 
-    def __post_init__(self):
-        self._victim: tuple[int, str] | None = None
-        self._armed = False
-
-    def supported(self, target: InjectionTarget) -> bool:
-        return bool(target.replicated())
-
-    def resolve(self, target: InjectionTarget, rng: np.random.Generator) -> dict:
-        self._victim = _pick(rng, target.replicated())
-        self.targets = [self._victim[1]] if self._victim else []
-        backend = None
-        if self._victim is not None:
-            connection = target.connection(self._victim[1])
-            if connection is not None and connection.host.runtime is not None:
-                backend = connection.host.runtime.config.blas_backend
+    def _params(self, target: InjectionTarget, rng: np.random.Generator) -> dict:
+        runtime = target.runtime(self._victim[1]) if self._victim else None
         return {
-            "victim": list(self._victim) if self._victim else None,
-            "backend": backend,
+            "backend": runtime.config.blas_backend if runtime is not None else None,
             "bit": self.bit,
             "index": self.flat_index,
         }
 
-    def inject(self, target: InjectionTarget) -> None:
-        if self._victim is None:
-            raise InjectionError(f"{self.name}: no replicated victim available")
-        spec = {"kind": "backend-bitflip", "bit": self.bit, "index": self.flat_index}
-        if not target.apply_spec(self._victim[1], spec):
-            raise InjectionError(f"{self.name}: victim {self._victim[1]} unreachable")
-        self._armed = True
+    def _apply(self, control: VariantControl) -> None:
+        control.inject_fault(
+            {"kind": "backend-bitflip", "bit": self.bit, "index": self.flat_index}
+        )
 
-    def restore(self, target: InjectionTarget) -> None:
-        if self._armed and self._victim is not None:
-            target.apply_spec(self._victim[1], {"kind": "backend-clear"})
-        self._armed = False
+    def _revert(self, control: VariantControl) -> None:
+        control.inject_fault({"kind": "backend-clear"})
+
+
+def _float_weights(runtime) -> list[str]:
+    """Sorted names of a runtime's non-empty float32 initializers."""
+    model = runtime.model if runtime is not None else None
+    if model is None:
+        return []
+    return sorted(
+        name
+        for name, arr in model.initializers.items()
+        if arr.dtype == np.float32 and arr.size
+    )
 
 
 @dataclass
-class WeightFlipInjector(ChaosInjector):
+class WeightFlipInjector(_VictimInjector):
     """Rowhammer-style bit flips in one variant's loaded weights.
 
     The flip plan (tensor, flat index) is computed at plan time from the
-    parent-side model copy and applied through the spec route, so it
-    reaches a forked worker's own memory.  XOR is involutive: restore
-    re-applies the identical spec -- but only to the *same incarnation*
-    (same worker pid / same runtime object); a variant re-bootstrapped
-    mid-window is clean already and re-flipping it would corrupt it.
+    parent-side model copy and applied as a fault spec, so it reaches a
+    forked worker's own memory.  XOR is involutive: restore re-applies
+    the identical spec to the same incarnation.
     """
 
     num_flips: int = 3
@@ -389,90 +443,83 @@ class WeightFlipInjector(ChaosInjector):
     detection = "incident"
 
     def __post_init__(self):
-        self._victim: tuple[int, str] | None = None
+        super().__post_init__()
         self._flips: list[tuple[str, int]] = []
-        self._incarnation = None
-        self._applied = False
 
-    def supported(self, target: InjectionTarget) -> bool:
-        for _, vid in target.replicated():
-            connection = target.connection(vid)
-            if connection is None or connection.host.runtime is None:
-                continue
-            model = connection.host.runtime.model
-            if model is not None and any(
-                arr.dtype == np.float32 and arr.size
-                for arr in model.initializers.values()
-            ):
-                return True
-        return False
+    def candidates(self, target: InjectionTarget) -> list[tuple[int, str]]:
+        return [
+            (index, vid)
+            for index, vid in target.replicated()
+            if _float_weights(target.runtime(vid))
+        ]
 
-    def resolve(self, target: InjectionTarget, rng: np.random.Generator) -> dict:
-        candidates = []
-        for index, vid in target.replicated():
-            connection = target.connection(vid)
-            if connection is None or connection.host.runtime is None:
-                continue
-            model = connection.host.runtime.model
-            if model is not None and any(
-                arr.dtype == np.float32 and arr.size
-                for arr in model.initializers.values()
-            ):
-                candidates.append((index, vid))
-        self._victim = _pick(rng, candidates)
+    def _params(self, target: InjectionTarget, rng: np.random.Generator) -> dict:
         self._flips = []
-        self.targets = []
         if self._victim is None:
-            return {"victim": None}
-        self.targets = [self._victim[1]]
-        model = target.connection(self._victim[1]).host.runtime.model
-        names = sorted(
-            name
-            for name, arr in model.initializers.items()
-            if arr.dtype == np.float32 and arr.size
-        )
+            return {}
+        runtime = target.runtime(self._victim[1])
+        names = _float_weights(runtime)
         for _ in range(self.num_flips):
             tensor = names[int(rng.integers(len(names)))]
-            index = int(rng.integers(model.initializers[tensor].size))
+            index = int(rng.integers(runtime.model.initializers[tensor].size))
             self._flips.append((tensor, index))
-        return {
-            "victim": list(self._victim),
-            "flips": [[t, i] for t, i in self._flips],
-            "bit": self.bit,
-        }
+        return {"flips": [[t, i] for t, i in self._flips], "bit": self.bit}
 
-    def _current_incarnation(self, target: InjectionTarget):
-        worker = target.worker(self._victim[1])
-        if worker is not None:
-            return ("worker", worker.pid)
-        connection = target.connection(self._victim[1])
-        if connection is None or connection.host.runtime is None:
-            return None
-        return ("inprocess", id(connection.host.runtime))
+    def _apply(self, control: VariantControl) -> None:
+        control.inject_fault(
+            {
+                "kind": "weight-flips",
+                "flips": [[t, i] for t, i in self._flips],
+                "bit": self.bit,
+            }
+        )
 
-    def _spec(self) -> dict:
-        return {
-            "kind": "weight-flips",
-            "flips": [[t, i] for t, i in self._flips],
-            "bit": self.bit,
-        }
+    _revert = _apply
 
-    def inject(self, target: InjectionTarget) -> None:
-        if self._victim is None or not self._flips:
-            raise InjectionError(f"{self.name}: no victim with float32 weights")
-        self._incarnation = self._current_incarnation(target)
-        if self._incarnation is None or not target.apply_spec(
-            self._victim[1], self._spec()
-        ):
-            raise InjectionError(f"{self.name}: victim {self._victim[1]} unreachable")
-        self._applied = True
 
-    def restore(self, target: InjectionTarget) -> None:
-        if not self._applied:
-            return
-        self._applied = False
-        if self._current_incarnation(target) == self._incarnation:
-            target.apply_spec(self._victim[1], self._spec())
+@dataclass
+class SlowVariantInjector(_VictimInjector):
+    """Slowloris one variant: add real wall-clock latency to its stage.
+
+    Every batch crossing the victim's partition waits on it, so the
+    trace's window p99 rises by roughly the added latency.  Restore
+    reconfigures the original latency attributes.
+    """
+
+    added_latency_s: float = 0.08
+    #: Window p99 must exceed baseline by this fraction of the added
+    #: latency for the fault to count as telemetry-detected.
+    visibility: float = 0.5
+
+    name = "slow-variant"
+    fault_class = "slow-variant"
+    detection = "telemetry"
+
+    def _params(self, target: InjectionTarget, rng: np.random.Generator) -> dict:
+        return {"added_latency_s": self.added_latency_s}
+
+    def _apply(self, control: VariantControl) -> None:
+        self._previous = control.configure(
+            simulated_latency=self.added_latency_s, realtime_latency=True
+        )
+
+    def _revert(self, control: VariantControl) -> None:
+        control.configure(**self._previous)
+
+    def telemetry_verdict(self, observation) -> tuple[bool, bool | None, str]:
+        window_p99 = observation.telemetry.get("window_p99_s")
+        baseline_p99 = observation.telemetry.get("baseline_p99_s") or 0.0
+        timeouts = int(observation.counts.get("timeout", 0))
+        visible = (
+            window_p99 is not None
+            and window_p99 >= baseline_p99 + self.visibility * self.added_latency_s
+        )
+        detected = visible or timeouts > 0
+        detail = (
+            f"window p99 {window_p99 if window_p99 is not None else float('nan'):.3f}s "
+            f"vs baseline {baseline_p99:.3f}s (+{self.added_latency_s:.3f}s injected)"
+        )
+        return detected, None, detail
 
 
 # ----------------------------------------------------------------------
@@ -481,7 +528,34 @@ class WeightFlipInjector(ChaosInjector):
 
 
 @dataclass
-class WorkerKillInjector(ChaosInjector):
+class _WorkerSignalInjector(_VictimInjector):
+    """Signal one victim's worker process (cluster mode only)."""
+
+    signum = None
+
+    def __post_init__(self):
+        super().__post_init__()
+        self._pid: int | None = None
+
+    def candidates(self, target: InjectionTarget) -> list[tuple[int, str]]:
+        return [
+            (index, vid)
+            for index, vid in target.replicated()
+            if target.worker(vid) is not None
+        ]
+
+    def inject(self, target: InjectionTarget) -> None:
+        worker = target.worker(self._victim[1]) if self._victim else None
+        if worker is None or worker.pid is None:
+            raise InjectionError(
+                f"{self.name}: no running victim worker ({self._victim})"
+            )
+        self._pid = worker.pid
+        os.kill(self._pid, self.signum)
+
+
+@dataclass
+class WorkerKillInjector(_WorkerSignalInjector):
     """SIGKILL one variant's worker process (cluster mode only).
 
     Restore waits for the supervisor to refill the slot (budgeted
@@ -494,32 +568,7 @@ class WorkerKillInjector(ChaosInjector):
     name = "worker-kill"
     fault_class = "worker-kill"
     detection = "incident"
-
-    def __post_init__(self):
-        self._victim: tuple[int, str] | None = None
-        self._pid: int | None = None
-
-    def supported(self, target: InjectionTarget) -> bool:
-        return target.cluster is not None and bool(target.replicated())
-
-    def resolve(self, target: InjectionTarget, rng: np.random.Generator) -> dict:
-        candidates = [
-            (index, vid)
-            for index, vid in target.replicated()
-            if target.worker(vid) is not None
-        ]
-        self._victim = _pick(rng, candidates)
-        self.targets = [self._victim[1]] if self._victim else []
-        return {"victim": list(self._victim) if self._victim else None}
-
-    def inject(self, target: InjectionTarget) -> None:
-        if self._victim is None:
-            raise InjectionError(f"{self.name}: no killable worker")
-        worker = target.worker(self._victim[1])
-        if worker is None or worker.pid is None:
-            raise InjectionError(f"{self.name}: worker {self._victim[1]} not running")
-        self._pid = worker.pid
-        os.kill(self._pid, signal.SIGKILL)
+    signum = signal.SIGKILL
 
     def restore(self, target: InjectionTarget) -> None:
         """Wait for the supervised restart to land (nothing to revert)."""
@@ -539,7 +588,7 @@ class WorkerKillInjector(ChaosInjector):
 
 
 @dataclass
-class WorkerWedgeInjector(ChaosInjector):
+class WorkerWedgeInjector(_WorkerSignalInjector):
     """SIGSTOP one worker so heartbeats stall (restore sends SIGCONT).
 
     The wedged worker stays "alive" to the supervisor (no restart), so
@@ -553,42 +602,15 @@ class WorkerWedgeInjector(ChaosInjector):
     name = "worker-wedge"
     fault_class = "worker-wedge"
     detection = "telemetry"
-
-    def __post_init__(self):
-        self._victim: tuple[int, str] | None = None
-        self._pid: int | None = None
-        self._stopped = False
-
-    def supported(self, target: InjectionTarget) -> bool:
-        return target.cluster is not None and bool(target.replicated())
-
-    def resolve(self, target: InjectionTarget, rng: np.random.Generator) -> dict:
-        candidates = [
-            (index, vid)
-            for index, vid in target.replicated()
-            if target.worker(vid) is not None
-        ]
-        self._victim = _pick(rng, candidates)
-        self.targets = [self._victim[1]] if self._victim else []
-        return {"victim": list(self._victim) if self._victim else None}
-
-    def inject(self, target: InjectionTarget) -> None:
-        if self._victim is None:
-            raise InjectionError(f"{self.name}: no wedgeable worker")
-        worker = target.worker(self._victim[1])
-        if worker is None or worker.pid is None:
-            raise InjectionError(f"{self.name}: worker {self._victim[1]} not running")
-        self._pid = worker.pid
-        os.kill(self._pid, signal.SIGSTOP)
-        self._stopped = True
+    signum = signal.SIGSTOP
 
     def restore(self, target: InjectionTarget) -> None:
-        if self._stopped and self._pid is not None:
+        pid, self._pid = self._pid, None
+        if pid is not None:
             try:
-                os.kill(self._pid, signal.SIGCONT)
+                os.kill(pid, signal.SIGCONT)
             except ProcessLookupError:
                 pass
-        self._stopped = False
 
     def telemetry_verdict(self, observation) -> tuple[bool, bool | None, str]:
         peak = observation.heartbeat_peak_s or 0.0
@@ -600,94 +622,6 @@ class WorkerWedgeInjector(ChaosInjector):
         culprit = True if stalled else None
         detail = f"heartbeat peak {peak:.2f}s, {timeouts} timeouts in window"
         return detected, culprit, detail
-
-
-@dataclass
-class SlowVariantInjector(ChaosInjector):
-    """Slowloris one variant: add real wall-clock latency to its stage.
-
-    Every batch crossing the victim's partition waits on it, so the
-    trace's window p99 rises by roughly the added latency.  Restore
-    reconfigures the original latency attributes.
-    """
-
-    added_latency_s: float = 0.08
-    #: Window p99 must exceed baseline by this fraction of the added
-    #: latency for the fault to count as telemetry-detected.
-    visibility: float = 0.5
-
-    name = "slow-variant"
-    fault_class = "slow-variant"
-    detection = "telemetry"
-
-    def __post_init__(self):
-        self._victim: tuple[int, str] | None = None
-        self._previous: tuple[float, bool] | None = None
-        self._pid: int | None = None
-        self._applied = False
-
-    def supported(self, target: InjectionTarget) -> bool:
-        return bool(target.replicated())
-
-    def resolve(self, target: InjectionTarget, rng: np.random.Generator) -> dict:
-        self._victim = _pick(rng, target.replicated())
-        self.targets = [self._victim[1]] if self._victim else []
-        return {
-            "victim": list(self._victim) if self._victim else None,
-            "added_latency_s": self.added_latency_s,
-        }
-
-    def inject(self, target: InjectionTarget) -> None:
-        if self._victim is None:
-            raise InjectionError(f"{self.name}: no replicated victim")
-        vid = self._victim[1]
-        worker = target.worker(vid)
-        if worker is not None:
-            self._previous = (worker.host.simulated_latency, worker.host.realtime_latency)
-            self._pid = worker.pid
-            worker.configure(
-                simulated_latency=self.added_latency_s, realtime_latency=True
-            )
-        else:
-            connection = target.connection(vid)
-            if connection is None:
-                raise InjectionError(f"{self.name}: victim {vid} gone")
-            host = connection.host
-            self._previous = (host.simulated_latency, host.realtime_latency)
-            host.simulated_latency = self.added_latency_s
-            host.realtime_latency = True
-        self._applied = True
-
-    def restore(self, target: InjectionTarget) -> None:
-        if not self._applied or self._previous is None:
-            return
-        self._applied = False
-        vid = self._victim[1]
-        latency, realtime = self._previous
-        worker = target.worker(vid)
-        if worker is not None:
-            if worker.pid == self._pid:
-                worker.configure(simulated_latency=latency, realtime_latency=realtime)
-            return  # restarted incarnation: fresh host, defaults already clean
-        connection = target.connection(vid)
-        if connection is not None:
-            connection.host.simulated_latency = latency
-            connection.host.realtime_latency = realtime
-
-    def telemetry_verdict(self, observation) -> tuple[bool, bool | None, str]:
-        window_p99 = observation.telemetry.get("window_p99_s")
-        baseline_p99 = observation.telemetry.get("baseline_p99_s") or 0.0
-        timeouts = int(observation.counts.get("timeout", 0))
-        visible = (
-            window_p99 is not None
-            and window_p99 >= baseline_p99 + self.visibility * self.added_latency_s
-        )
-        detected = visible or timeouts > 0
-        detail = (
-            f"window p99 {window_p99 if window_p99 is not None else float('nan'):.3f}s "
-            f"vs baseline {baseline_p99:.3f}s (+{self.added_latency_s:.3f}s injected)"
-        )
-        return detected, None, detail
 
 
 @dataclass
@@ -820,14 +754,7 @@ class ForkInjector(ChaosInjector):
         if self._victim is None:
             raise InjectionError(f"{self.name}: no bound variant to clone")
         index, vid = self._victim
-        artifact = next(
-            (
-                a
-                for a in target.system.pool.for_partition(index)
-                if a.variant_id == vid
-            ),
-            None,
-        )
+        artifact = target.system.pool.artifact(index, vid)
         if artifact is None:
             raise InjectionError(f"{self.name}: artifact for {vid} not in pool")
         self._attack = ForkAttack(artifact=artifact)

@@ -23,8 +23,11 @@ its own OS process" into an operable system:
 Restarting a worker is *not* a fork of stale state: the RA-TLS channel
 is strictly sequential, so the slot is refilled by retiring the old
 binding and re-running the full bootstrap (fresh enclave, fresh channel,
-fresh installation evidence) for the same variant artifact, then forking
-a new worker from the newly initialized host.
+fresh installation evidence) for the same variant artifact through
+:func:`repro.mvx.updates.place_and_bind`, then forking a new worker from
+the newly initialized host.  Variants added by a partial update or a
+scale-up get a slot through :meth:`ClusterSupervisor.adopt`; variants an
+update retires give theirs up through :meth:`ClusterSupervisor.release`.
 """
 
 from __future__ import annotations
@@ -40,6 +43,7 @@ from repro.cluster import shm
 from repro.cluster.transport import ProcessTransport
 from repro.cluster.worker import WorkerProcess
 from repro.mvx.monitor import Monitor, MonitorError
+from repro.mvx.updates import place_and_bind
 from repro.mvx.variant_host import VariantHost
 from repro.observability.metrics import MetricsRegistry, get_global_registry
 from repro.observability.recorder import (
@@ -167,11 +171,8 @@ class ClusterSupervisor:
         with self._lock:
             for index, connections in self.monitor.connections.items():
                 for connection in connections:
-                    if connection.host.crashed:
-                        continue
-                    slot = _Slot(variant_id=connection.variant_id, partition_index=index)
-                    self._slots[connection.variant_id] = slot
-                    self._spawn(slot, connection.host)
+                    if not connection.host.crashed:
+                        self.adopt(index, connection.host)
         _LIVE_SUPERVISORS.add(self)
         _register_atexit()
         self._stop.clear()
@@ -180,6 +181,29 @@ class ClusterSupervisor:
         )
         self._heartbeat_thread.start()
         return self
+
+    def adopt(self, partition_index: int, host: VariantHost) -> WorkerProcess:
+        """Give a freshly bound host a supervised slot and fork its worker."""
+        with self._lock:
+            slot = _Slot(variant_id=host.variant_id, partition_index=partition_index)
+            self._slots[host.variant_id] = slot
+            return self._spawn(slot, host)
+
+    def release(self, variant_id: str) -> None:
+        """Stop a retired variant's worker and drop its slot."""
+        with self._lock:
+            slot = self._slots.pop(variant_id, None)
+            if slot is not None:
+                self._stop_worker(slot, self.policy.graceful_timeout_s)
+
+    def _stop_worker(self, slot: _Slot, timeout: float) -> None:
+        worker = slot.worker
+        if worker is None:
+            return
+        self.transport.demote(slot.variant_id)
+        worker.stop(graceful_timeout=timeout)
+        self._sweep_child_segments(worker.pid)
+        slot.worker = None
 
     def _spawn(self, slot: _Slot, host: VariantHost) -> WorkerProcess:
         worker = WorkerProcess(
@@ -210,14 +234,7 @@ class ClusterSupervisor:
         )
         with self._lock:
             for slot in self._slots.values():
-                worker = slot.worker
-                if worker is None:
-                    continue
-                self.transport.demote(slot.variant_id)
-                pid = worker.pid
-                worker.stop(graceful_timeout=timeout)
-                self._sweep_child_segments(pid)
-                slot.worker = None
+                self._stop_worker(slot, timeout)
         shm.cleanup_segments()
         _LIVE_SUPERVISORS.discard(self)
 
@@ -387,18 +404,18 @@ class ClusterSupervisor:
             self.monitor.retire_variant(variant_id)
         except MonitorError:
             pass
-        artifact = self._artifact_for(slot)
+        artifact = self.monitor.pool.artifact(slot.partition_index, variant_id)
         if artifact is None:
             slot.abandoned = True
             return
-        host = VariantHost.place(
-            artifact,
-            self.orchestrator._pick_cpu(),
-            enclave_id=f"tee-{variant_id}-r{len(slot.restart_times)}",
-        )
         try:
-            self.monitor.bind_variant(
-                slot.partition_index, artifact, host, event="restart"
+            host = place_and_bind(
+                self.monitor,
+                self.orchestrator,
+                slot.partition_index,
+                artifact,
+                event="restart",
+                enclave_id=f"tee-{variant_id}-r{len(slot.restart_times)}",
             )
         except MonitorError:
             # Bootstrap failed (e.g. attestation): burn a budget slot and
@@ -419,22 +436,12 @@ class ClusterSupervisor:
             restarts_in_window=len(slot.restart_times),
         )
 
-    def _artifact_for(self, slot: _Slot):
-        for artifact in self.monitor.pool.for_partition(slot.partition_index):
-            if artifact.variant_id == slot.variant_id:
-                return artifact
-        return None
-
     def restart_now(self, variant_id: str) -> None:
         """Force an immediate restart of one slot (operator action)."""
         with self._lock:
             slot = self._slots.get(variant_id)
             if slot is None:
                 raise KeyError(f"no supervised slot for variant {variant_id!r}")
-            worker = slot.worker
-            if worker is not None and worker.is_alive():
-                self.transport.demote(variant_id)
-                worker.stop(graceful_timeout=self.policy.graceful_timeout_s)
-                slot.worker = None
+            self._stop_worker(slot, self.policy.graceful_timeout_s)
             slot.abandoned = False
             self._restart(slot)

@@ -50,10 +50,6 @@ class ProcessTransport:
         """Drop a variant's worker route (dead or draining worker)."""
         return self.workers.pop(variant_id, None)
 
-    def worker(self, variant_id: str) -> WorkerProcess | None:
-        """The live worker route of one variant, if promoted."""
-        return self.workers.get(variant_id)
-
     def exchange(self, variant_id: str, record: bytes) -> bytes:
         worker = self.workers.get(variant_id)
         if worker is None:
@@ -88,8 +84,4 @@ class ProcessTransport:
         # The monitor's failing request will record the crash incident;
         # flag it so the supervisor does not file a duplicate.
         worker.crash_reported = True
-        host = worker.host
-        if not host.crashed:
-            host.crash_reason = reason
-            host.crashed = True
-            host.enclave.terminate()
+        worker.host.mark_crashed(reason)

@@ -35,7 +35,6 @@ from repro.cluster import shm
 from repro.mvx.variant_host import VariantHost, VariantUnavailable
 from repro.mvx.wire import decode_message, encode_message
 from repro.observability.metrics import MetricsRegistry, set_global_registry
-from repro.runtime.faults import apply_fault_spec
 
 __all__ = ["EXIT_CRASHED", "WorkerCrashed", "WorkerProcess"]
 
@@ -121,28 +120,22 @@ def _worker_main(conn, host: VariantHost, threshold: int) -> None:
                     },
                 )
             )
-        elif msg_type == "configure":
-            for attr in ("simulated_latency", "realtime_latency"):
-                if attr in meta:
-                    setattr(host, attr, meta[attr])
-            conn.send_bytes(encode_message("configured", {"pid": os.getpid()}))
-        elif msg_type == "inject":
-            # Chaos harness seam: faults must be armed *inside* the
-            # worker -- the parent's runtime copy diverged at fork time,
-            # so arming there would never reach this process.
+        elif msg_type in ("inject", "configure"):
+            # Control ops run the host's own VariantControl methods: the
+            # parent's runtime copy diverged at fork time, so only this
+            # process can reach the runtime that serves requests.
+            pid = os.getpid()
             try:
-                result = apply_fault_spec(host.runtime, meta["spec"])
-            except Exception as exc:
-                conn.send_bytes(
-                    encode_message(
-                        "inject-failed",
-                        {"reason": str(exc), "pid": os.getpid()},
-                    )
+                if msg_type == "inject":
+                    result = host.inject_fault(meta["spec"])
+                else:
+                    result = host.configure(**meta)
+                reply = encode_message("control-ok", {"pid": pid, "result": result})
+            except VariantUnavailable as exc:
+                reply = encode_message(
+                    "control-failed", {"pid": pid, "reason": str(exc)}
                 )
-            else:
-                conn.send_bytes(
-                    encode_message("injected", {"pid": os.getpid(), **result})
-                )
+            conn.send_bytes(reply)
         elif msg_type == "stop":
             conn.send_bytes(encode_message("stopping", {"pid": os.getpid()}))
             conn.close()
@@ -366,31 +359,39 @@ class WorkerProcess:
         self.last_heartbeat = self._clock()
         return meta
 
-    def inject_fault(self, spec: dict) -> dict:
-        """Arm (or clear) one fault spec inside the child runtime.
+    # ------------------------------------------------------------------
+    # Operator control (VariantControl)
+    # ------------------------------------------------------------------
 
-        The spec vocabulary is
-        :func:`repro.runtime.faults.apply_fault_spec`'s.  Raises
-        :class:`WorkerCrashed` when the child is dead and
+    @property
+    def incarnation(self) -> int | None:
+        """The child's pid: a restarted worker is a new incarnation."""
+        return self.pid
+
+    def _control(self, op: str, meta: dict) -> dict:
+        msg_type, reply, _ = self._roundtrip(encode_message(op, meta))
+        if msg_type != "control-ok":
+            raise VariantUnavailable(
+                f"variant {self.variant_id} {op} failed: {reply.get('reason')}"
+            )
+        return reply["result"]
+
+    def inject_fault(self, spec: dict) -> dict:
+        """Run :meth:`VariantHost.inject_fault` inside the child.
+
+        Raises :class:`WorkerCrashed` when the child is dead and
         :class:`VariantUnavailable` when the child rejected the spec.
         """
-        msg_type, meta, _ = self._roundtrip(encode_message("inject", {"spec": spec}))
-        if msg_type != "injected":
-            raise VariantUnavailable(
-                f"variant {self.variant_id} fault injection failed: "
-                f"{meta.get('reason')}"
-            )
-        return meta
+        return self._control("inject", {"spec": spec})
 
-    def configure(self, **attrs) -> None:
-        """Set host attributes (e.g. simulated latency) in the child.
+    def configure(self, **attrs) -> dict:
+        """Run :meth:`VariantHost.configure` inside the child.
 
         Mirrors the values onto the parent-side host copy so scheduling
         decisions that read them (async laggard ordering) stay coherent.
         """
-        self._roundtrip(encode_message("configure", attrs))
-        for attr, value in attrs.items():
-            setattr(self.host, attr, value)
+        self.host.configure(**attrs)
+        return self._control("configure", attrs)
 
     # ------------------------------------------------------------------
     # Shutdown

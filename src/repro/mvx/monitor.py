@@ -92,16 +92,6 @@ class Monitor:
     #: :class:`repro.mvx.transport.FabricTransport` models distributed
     #: deployment across an untrusted network.
     transport: "Transport | None" = None
-    #: Dispatch slow-path variant requests concurrently (thread pool).
-    #: Functionally identical to serial dispatch; numpy kernels release
-    #: the GIL, so replicated variants of a stage genuinely overlap.
-    parallel_dispatch: bool = False
-    #: Pluggable replica dispatcher: an object with
-    #: ``dispatch(monitor, connections, batch_id, feeds) -> list[VariantOutput]``
-    #: (e.g. :class:`repro.serving.executor.ParallelStageExecutor`).
-    #: Takes precedence over ``parallel_dispatch``; the scheduler
-    #: installs a run's dispatcher for the duration of that run.
-    dispatcher: object | None = None
     #: Observability sinks: the tracer receives ``variant`` and
     #: ``checkpoint`` spans (nested under the scheduler's ``stage``
     #: spans); detection/recovery counters go to ``metrics`` (None =
@@ -129,10 +119,12 @@ class Monitor:
     #: Guards shared mutable detection state (events, deferred checks,
     #: connection lists) against concurrent replica dispatch threads.
     _state_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    #: Per-thread run-scoped dispatcher override.  The scheduler
-    #: installs a run's dispatcher here (not on ``dispatcher``) so
-    #: overlapping runs on different engine worker threads each see
-    #: their own per-batch deadline view.
+    #: Per-thread run-scoped replica dispatcher: an object with
+    #: ``dispatch(monitor, connections, batch_id, feeds) -> list[VariantOutput]``
+    #: (e.g. :class:`repro.serving.executor.ParallelStageExecutor`).
+    #: The scheduler installs a run's dispatcher here so overlapping
+    #: runs on different engine worker threads each see their own
+    #: per-batch deadline view; without one, replicas run serially.
     _tls: threading.local = field(default_factory=threading.local, repr=False)
     #: Refcounted install/restore of run-scoped sinks (config, tracer,
     #: metrics, recorder): the first concurrent run installs, the last
@@ -335,13 +327,13 @@ class Monitor:
     def bind_variant(
         self, partition_index: int, artifact, host: VariantHost, *, event: str = "restart"
     ) -> VariantConnection:
-        """Attest, key and bind one replacement variant.
+        """Attest, key and bind one variant placed after provisioning.
 
-        The cluster supervisor's restart path: after a worker process
-        dies, its variant slot is refilled by re-running the full
+        Updates, scale-ups, worker restarts and heals all reach it
+        through :func:`repro.mvx.updates.place_and_bind`: the full
         Figure-6 bootstrap (fresh enclave, fresh RA-TLS channel, fresh
-        installation evidence) for the *same* artifact.  The old binding
-        must be retired first -- fork-attack prevention rejects a second
+        installation evidence).  A variant coming back must have its old
+        binding retired first -- fork-attack prevention rejects a second
         live binding of one variant id.  Returns the new connection.
         """
         self._bootstrap_variant(partition_index, artifact, host, event)
@@ -363,10 +355,7 @@ class Monitor:
             for connection in connections:
                 if connection.variant_id != variant_id:
                     continue
-                if not connection.host.crashed:
-                    connection.host.crash_reason = str(error)
-                    connection.host.crashed = True
-                    connection.host.enclave.terminate()
+                connection.host.mark_crashed(str(error))
                 self._record_crash(batch_id, index, connection, error)
                 return
         # Variant already dropped from the connection table: keep the
@@ -426,27 +415,12 @@ class Monitor:
             return self._slow_path_async(batch_id, index, connections, feeds)
         return self._slow_path_sync(batch_id, index, connections, feeds)
 
-    def _active_dispatcher(self):
-        """The dispatcher in effect on this thread.
-
-        A run-scoped dispatcher (installed thread-locally by the
-        scheduler so overlapping runs carry independent deadlines)
-        shadows the deployment-wide ``dispatcher`` field.
-        """
-        override = getattr(self._tls, "dispatcher", None)
-        return override if override is not None else self.dispatcher
-
     def _fast_path(self, batch_id, index, connections, feeds):
         connection = connections[0]
-        dispatcher = self._active_dispatcher()
-        if dispatcher is not None:
-            # Route single-replica stages through the installed
-            # dispatcher too: its deadline enforcement and retry-once
-            # semantics must cover the fast path, or a 1-replica stage
-            # could run unbounded past the batch deadline.
-            result = dispatcher.dispatch(self, [connection], batch_id, feeds)[0]
-        else:
-            result = self._request_inference(connection, batch_id, feeds)
+        # Single-replica stages go through the run's dispatcher too: its
+        # deadline enforcement and retry-once semantics must cover the
+        # fast path, or a 1-replica stage could run unbounded.
+        (result,) = self._dispatch([connection], batch_id, feeds)
         if result.outputs is None:
             self._record_crash(batch_id, index, connection, result.error)
             raise MonitorError(
@@ -459,21 +433,11 @@ class Monitor:
         return self._evaluate_checkpoint(batch_id, index, connections, outputs, feeds)
 
     def _dispatch(self, connections, batch_id, feeds) -> list[VariantOutput]:
-        """Send one request to every connection, optionally in parallel."""
-        dispatcher = self._active_dispatcher()
+        """Send one request to every connection (via the run's dispatcher)."""
+        dispatcher = getattr(self._tls, "dispatcher", None)
         if dispatcher is not None:
             return dispatcher.dispatch(self, connections, batch_id, feeds)
-        if self.parallel_dispatch and len(connections) > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=len(connections)) as pool:
-                return list(
-                    pool.map(
-                        lambda c: self._request_inference(c, batch_id, feeds),
-                        connections,
-                    )
-                )
-        return [self._request_inference(c, batch_id, feeds) for c in connections]
+        return [self.request_inference(c, batch_id, feeds) for c in connections]
 
     def _slow_path_async(self, batch_id, index, connections, feeds):
         # Query in ascending simulated latency: the quorum of fastest
@@ -482,7 +446,7 @@ class Monitor:
         quorum = len(connections) // 2 + 1
         quorum_conns = ordered[:quorum]
         laggards = ordered[quorum:]
-        early = [self._request_inference(c, batch_id, feeds) for c in quorum_conns]
+        early = [self.request_inference(c, batch_id, feeds) for c in quorum_conns]
         with self.tracer.span(
             "checkpoint", partition=index, batch=batch_id, mode="async-quorum"
         ) as span:
@@ -502,7 +466,7 @@ class Monitor:
         )
         if not result.passed:
             # No early consensus: fall back to full synchronization.
-            late = [self._request_inference(c, batch_id, feeds) for c in laggards]
+            late = [self.request_inference(c, batch_id, feeds) for c in laggards]
             return self._evaluate_checkpoint(
                 batch_id, index, quorum_conns + laggards, early + late, feeds
             )
@@ -537,7 +501,7 @@ class Monitor:
                 laggards=len(laggards),
             ):
                 for connection in laggards:
-                    result = self._request_inference(connection, d_batch, feeds)
+                    result = self.request_inference(connection, d_batch, feeds)
                     if result.outputs is None:
                         self._record_crash(d_batch, d_index, connection, result.error)
                         self._respond(connection, d_batch, d_index)
@@ -592,11 +556,6 @@ class Monitor:
         from worker threads -- the span, counter and detection-state
         paths it touches are lock- or GIL-protected.
         """
-        return self._request_inference(connection, batch_id, feeds)
-
-    def _request_inference(
-        self, connection: VariantConnection, batch_id: int, feeds: dict
-    ) -> VariantOutput:
         with self.tracer.span(
             "variant",
             variant=connection.variant_id,
@@ -670,7 +629,7 @@ class Monitor:
             survivors = self.stage_connections(index)
             if survivors:
                 retries = [
-                    self._request_inference(c, batch_id, feeds) for c in survivors
+                    self.request_inference(c, batch_id, feeds) for c in survivors
                 ]
                 retry = vote(retries, policy=self.policy_for(index), strategy=self.config.voting)
                 if retry.accepted is not None:
@@ -802,58 +761,43 @@ class Monitor:
         )
         if self.response_action is ResponseAction.HALT:
             return  # the raised MonitorError at the vote halts execution
-        if self.response_action in (
-            ResponseAction.DROP_VARIANT,
-            ResponseAction.RESTART_BATCH,
-            ResponseAction.REPLACE_VARIANT,
-        ):
-            self.metrics_registry.counter(
-                "mvtee_recovery_actions_total", "Protective responses applied"
-            ).inc(action=self.response_action.value)
-            if not connection.host.crashed:
-                connection.host.terminate()
-            self.ledger.append(
-                variant_id=connection.variant_id,
-                partition_index=index,
-                enclave_id=connection.host.enclave.enclave_id,
-                measurement=connection.measurement,
-                channel_id=connection.channel.channel_id,
-                event="retire",
-            )
-            with self._state_lock:
-                self.connections[index] = [
-                    c
-                    for c in self.connections.get(index, [])
-                    if c.variant_id != connection.variant_id
-                ]
+        # DROP_VARIANT / RESTART_BATCH / REPLACE_VARIANT all unbind it.
+        self.metrics_registry.counter(
+            "mvtee_recovery_actions_total", "Protective responses applied"
+        ).inc(action=self.response_action.value)
+        self._unbind(connection)
+
+    def _unbind(self, connection: VariantConnection) -> None:
+        """Terminate one variant's TEE, log its retirement, drop its route."""
+        connection.host.terminate()
+        index = connection.partition_index
+        self.ledger.append(
+            variant_id=connection.variant_id,
+            partition_index=index,
+            enclave_id=connection.host.enclave.enclave_id,
+            measurement=connection.measurement,
+            channel_id=connection.channel.channel_id,
+            event="retire",
+        )
+        with self._state_lock:
+            self.connections[index] = [
+                c for c in self.connections.get(index, []) if c is not connection
+            ]
 
     def retire_variant(self, variant_id: str) -> None:
         """Terminate and unbind one variant (scale-down / operator action)."""
-        for index, connections in self.connections.items():
+        for connections in list(self.connections.values()):
             for connection in connections:
-                if connection.variant_id != variant_id:
-                    continue
-                if not connection.host.crashed:
-                    connection.host.terminate()
-                self.ledger.append(
-                    variant_id=variant_id,
-                    partition_index=index,
-                    enclave_id=connection.host.enclave.enclave_id,
-                    measurement=connection.measurement,
-                    channel_id=connection.channel.channel_id,
-                    event="retire",
-                )
-                self.connections[index] = [
-                    c for c in connections if c.variant_id != variant_id
-                ]
-                self._audit(
-                    KIND_VARIANT_REPLACED,
-                    variant=variant_id,
-                    partition=index,
-                    enclave=connection.host.enclave.enclave_id,
-                    event="retire",
-                )
-                return
+                if connection.variant_id == variant_id:
+                    self._unbind(connection)
+                    self._audit(
+                        KIND_VARIANT_REPLACED,
+                        variant=variant_id,
+                        partition=connection.partition_index,
+                        enclave=connection.host.enclave.enclave_id,
+                        event="retire",
+                    )
+                    return
         raise MonitorError(f"no bound variant {variant_id!r} to retire")
 
     # ------------------------------------------------------------------

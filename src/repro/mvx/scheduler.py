@@ -27,8 +27,7 @@ import numpy as np
 
 from repro.mvx.monitor import Monitor
 from repro.observability.metrics import MetricsRegistry
-from repro.observability.recorder import FlightRecorder
-from repro.observability.sinks import Sinks, coerce_sinks
+from repro.observability.sinks import Sinks
 from repro.observability.tracing import Span, Tracer
 
 __all__ = [
@@ -73,9 +72,7 @@ class InferenceOptions:
     of the run; ``None`` keeps the provisioned value.  ``sinks``
     bundles the run's observability output (tracer, metrics registry,
     flight recorder); unset sinks fall back to the monitor's tracer,
-    the process-wide registry and the deployment's recorder.  The
-    individual ``tracer=`` / ``metrics=`` / ``recorder=`` kwargs are
-    deprecated spellings of the same bundle.
+    the process-wide registry and the deployment's recorder.
 
     ``dispatcher`` installs a replica dispatcher on the monitor for the
     duration of the run -- an object with
@@ -98,38 +95,17 @@ class InferenceOptions:
     scheduling: SchedulingMode = SchedulingMode.SEQUENTIAL
     mode: ExecutionMode | None = None
     path_mode: PathMode | None = None
-    sinks: Sinks | None = None
-    tracer: Tracer | None = None
-    metrics: MetricsRegistry | None = None
+    sinks: Sinks = field(default_factory=Sinks)
     dispatcher: object | None = None
-    recorder: FlightRecorder | None = None
     batch_id_base: int = 0
-
-    def __post_init__(self):
-        resolved = coerce_sinks(
-            self.sinks,
-            owner="InferenceOptions",
-            tracer=self.tracer,
-            metrics=self.metrics,
-            recorder=self.recorder,
-            stacklevel=4,
-        )
-        # The trio fields stay the canonical storage the scheduler and
-        # monitor read; the frozen dataclass is normalized in place.
-        object.__setattr__(self, "sinks", resolved)
-        object.__setattr__(self, "tracer", resolved.tracer)
-        object.__setattr__(self, "metrics", resolved.metrics)
-        object.__setattr__(self, "recorder", resolved.recorder)
 
 
 @dataclass
 class RunStats:
     """Counters of one run.
 
-    ``extra["stage_seconds"]`` (partition index -> cumulative seconds)
-    is kept populated for one deprecation cycle; the canonical record
-    is now the ``mvtee_stage_seconds`` histogram in the run's
-    :class:`~repro.observability.metrics.MetricsRegistry`.
+    Per-stage wall time is the ``mvtee_stage_seconds`` histogram in the
+    run's :class:`~repro.observability.metrics.MetricsRegistry`.
     """
 
     batches: int = 0
@@ -137,7 +113,6 @@ class RunStats:
     checkpoints_evaluated: int = 0
     divergences: int = 0
     crashes: int = 0
-    extra: dict = field(default_factory=dict)
 
 
 def validate_feeds(monitor: Monitor, feeds: dict[str, np.ndarray]) -> None:
@@ -194,9 +169,6 @@ def _stage_once(
     registry.counter(
         "mvtee_stage_executions_total", "Stage executions"
     ).inc(partition=index)
-    # Deprecated: superseded by the mvtee_stage_seconds histogram.
-    timings = stats.extra.setdefault("stage_seconds", {})
-    timings[index] = timings.get(index, 0.0) + elapsed
     if monitor.config is not None and monitor.config.uses_slow_path(index):
         stats.checkpoints_evaluated += 1
         span.set_attribute("slow_path", True)
@@ -216,8 +188,7 @@ def _install_run_options(
 
     The dispatcher goes into the monitor's *thread-local* slot: each
     overlapping run executes on its own thread and carries its own
-    per-batch deadline view, so the deployment-wide ``dispatcher``
-    field must not be clobbered.  The shared sinks (config overrides,
+    per-batch deadline view.  The shared sinks (config overrides,
     tracer, metrics, recorder) are refcounted -- the first concurrent
     run installs them, the last restores the provisioned values.
     Overlapping runs are expected to pass identical sink options (the
@@ -244,8 +215,8 @@ def _install_run_options(
             if overrides and monitor.config is not None:
                 monitor.config = dataclasses.replace(monitor.config, **overrides)
             monitor.tracer, monitor.metrics = tracer, registry
-            if options.recorder is not None:
-                monitor.recorder = options.recorder
+            if options.sinks.recorder is not None:
+                monitor.recorder = options.sinks.recorder
     return prev_dispatcher
 
 
@@ -287,10 +258,9 @@ def run(
     options = options or InferenceOptions()
     for feeds in batches:
         validate_feeds(monitor, feeds)
-    tracer = options.tracer if options.tracer is not None else monitor.tracer
-    registry = (
-        options.metrics if options.metrics is not None else monitor.metrics_registry
-    )
+    sinks = options.sinks
+    tracer = sinks.tracer if sinks.tracer is not None else monitor.tracer
+    registry = sinks.metrics if sinks.metrics is not None else monitor.metrics_registry
     prev_dispatcher = _install_run_options(monitor, options, tracer, registry)
     try:
         stats = RunStats()

@@ -19,12 +19,9 @@ from repro.mvx.bootstrap import ModelOwner, Orchestrator, bootstrap_deployment
 from repro.mvx.config import MvxConfig
 from repro.mvx.monitor import Monitor
 from repro.mvx.scheduler import InferenceOptions, RunStats, run
-from repro.mvx.updates import partial_update, scale_partition
+from repro.mvx.updates import partial_update, place_and_bind, scale_partition
 from repro.mvx.variant_host import VariantHost
-from repro.observability.metrics import MetricsRegistry
-from repro.observability.recorder import FlightRecorder
-from repro.observability.sinks import Sinks, coerce_sinks
-from repro.observability.tracing import Tracer
+from repro.observability.sinks import Sinks
 from repro.partition.balance import find_balanced_partition
 from repro.partition.partition import PartitionSet
 from repro.partition.verify import verify_partition_set
@@ -67,9 +64,6 @@ class MvteeSystem:
         num_platforms: int = 2,
         transport=None,
         sinks: Sinks | None = None,
-        tracer: Tracer | None = None,
-        metrics: MetricsRegistry | None = None,
-        recorder: FlightRecorder | None = None,
         execution: str = "inprocess",
         restart_policy=None,
     ) -> "MvteeSystem":
@@ -84,9 +78,7 @@ class MvteeSystem:
         metrics registry unless a run's :class:`InferenceOptions`
         overrides either, and its flight recorder receives checkpoints,
         detections, responses and variant replacements in one hash
-        chain.  The individual ``tracer=`` / ``metrics=`` /
-        ``recorder=`` kwargs are deprecated spellings of the same
-        bundle.
+        chain.
 
         ``execution`` selects where variant runtimes live: the default
         ``"inprocess"`` keeps them in this process; ``"process"`` forks
@@ -97,13 +89,7 @@ class MvteeSystem:
         are restarted.  Call :meth:`shutdown` (or rely on the atexit
         sweep) to tear the worker fleet down.
         """
-        sinks = coerce_sinks(
-            sinks,
-            owner="MvteeSystem.deploy",
-            tracer=tracer,
-            metrics=metrics,
-            recorder=recorder,
-        )
+        sinks = sinks if sinks is not None else Sinks()
         tracer, metrics, recorder = sinks.tracer, sinks.metrics, sinks.recorder
         if execution not in ("inprocess", "process"):
             raise ValueError(
@@ -216,9 +202,6 @@ class MvteeSystem:
         *,
         policy=None,
         sinks: Sinks | None = None,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        recorder: FlightRecorder | None = None,
     ):
         """A (not yet started) :class:`repro.serving.ServingEngine`.
 
@@ -227,18 +210,10 @@ class MvteeSystem:
         variant execution.  Call ``start()``/``stop()`` or use it as a
         context manager; :meth:`InferenceService.serve` wraps the same
         engine behind the request-id surface.  ``sinks`` carries the
-        engine's observability bundle; the individual ``registry=`` /
-        ``tracer=`` / ``recorder=`` kwargs are deprecated.
+        engine's observability bundle.
         """
         from repro.serving.engine import ServingEngine
 
-        sinks = coerce_sinks(
-            sinks,
-            owner="MvteeSystem.serving_engine",
-            tracer=tracer,
-            metrics=registry,
-            recorder=recorder,
-        )
         return ServingEngine(self, policy=policy, sinks=sinks)
 
     # ------------------------------------------------------------------
@@ -248,40 +223,69 @@ class MvteeSystem:
     def update_partition(self, partition_index: int, *, seed: int = 1) -> None:
         """Partial update: replace one partition's variants with fresh ones."""
         claim = self.config.claim(partition_index)
-        specs = diversified_specs(
-            partition_index,
-            claim.num_variants,
-            seed=seed,
-            prefix=f"p{partition_index}u{seed}",
+        artifacts = self._fresh_artifacts(
+            partition_index, claim.num_variants, seed, f"p{partition_index}u{seed}"
         )
-        fresh_pool = build_pool(
-            self.partition_set, specs, key_manager=self.key_manager, verify=False
-        )
-        artifacts = fresh_pool.for_partition(partition_index)
-        for artifact in artifacts:
-            self.pool.add(artifact)
+        retired = [
+            c.variant_id for c in self.monitor.connections.get(partition_index, ())
+        ]
         new_hosts = partial_update(
             self.monitor, self.orchestrator, partition_index, artifacts
         )
-        for host in new_hosts:
-            self.hosts[host.variant_id] = host
+        self._adopt(partition_index, new_hosts)
+        if self.cluster is not None:
+            for variant_id in retired:
+                self.cluster.release(variant_id)
 
     def scale_up(self, partition_index: int, extra: int, *, seed: int = 2) -> None:
         """Horizontal scaling: add ``extra`` variants to one partition."""
-        specs = diversified_specs(
-            partition_index, extra, seed=seed, prefix=f"p{partition_index}s{seed}"
+        artifacts = self._fresh_artifacts(
+            partition_index, extra, seed, f"p{partition_index}s{seed}"
         )
+        new_hosts = scale_partition(
+            self.monitor, self.orchestrator, partition_index, artifacts
+        )
+        self._adopt(partition_index, new_hosts)
+
+    def reprovision(self, partition_index: int, variant_id: str) -> None:
+        """Bring one dropped variant back from its pooled artifact.
+
+        A fresh TEE is placed and bound for the same variant: through
+        the supervisor's budgeted restart in process mode, directly
+        otherwise.  The old binding must already be retired.
+        """
+        if self.cluster is not None:
+            self.cluster.restart_now(variant_id)
+            return
+        artifact = self.pool.artifact(partition_index, variant_id)
+        if artifact is None:
+            raise KeyError(f"variant {variant_id!r} is not in the pool")
+        self.hosts[variant_id] = place_and_bind(
+            self.monitor,
+            self.orchestrator,
+            partition_index,
+            artifact,
+            event="restart",
+            # Unique per bind: the ledger grows with every binding.
+            enclave_id=f"tee-{variant_id}-b{len(self.monitor.ledger.entries)}",
+        )
+
+    def _fresh_artifacts(self, partition_index, count, seed, prefix) -> list:
+        specs = diversified_specs(partition_index, count, seed=seed, prefix=prefix)
         fresh_pool = build_pool(
             self.partition_set, specs, key_manager=self.key_manager, verify=False
         )
         artifacts = fresh_pool.for_partition(partition_index)
         for artifact in artifacts:
             self.pool.add(artifact)
-        new_hosts = scale_partition(
-            self.monitor, self.orchestrator, partition_index, artifacts
-        )
+        return artifacts
+
+    def _adopt(self, partition_index: int, new_hosts: list[VariantHost]) -> None:
+        """Track newly bound hosts; in process mode fork a worker for each."""
         for host in new_hosts:
             self.hosts[host.variant_id] = host
+            if self.cluster is not None:
+                self.cluster.adopt(partition_index, host)
 
     # ------------------------------------------------------------------
     # Introspection

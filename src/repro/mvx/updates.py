@@ -6,6 +6,10 @@ appending to the binding ledger for auditability.  TEEs are never
 reused: old enclaves are terminated and fresh ones placed (§4.3 argues
 software-level cleanup is unsound and loading costs are unavoidable
 anyway).
+
+:func:`place_and_bind` is the one provisioning path: updates,
+scale-ups, supervised worker restarts and chaos heals all place a fresh
+TEE and run the Figure-6 bind through it.
 """
 
 from __future__ import annotations
@@ -15,7 +19,39 @@ from repro.mvx.monitor import Monitor, MonitorError
 from repro.mvx.variant_host import VariantHost
 from repro.variants.pool import VariantArtifact
 
-__all__ = ["partial_update", "scale_partition"]
+__all__ = ["partial_update", "place_and_bind", "scale_partition"]
+
+
+def place_and_bind(
+    monitor: Monitor,
+    orchestrator: Orchestrator,
+    partition_index: int,
+    artifact: VariantArtifact,
+    *,
+    event: str,
+    enclave_id: str | None = None,
+) -> VariantHost:
+    """Start a fresh TEE for one artifact and attest, key and bind it.
+
+    Raises :class:`MonitorError` when the bootstrap fails (attestation,
+    installation evidence, or a second live binding of the variant).
+    """
+    host = VariantHost.place(artifact, orchestrator._pick_cpu(), enclave_id=enclave_id)
+    monitor.bind_variant(partition_index, artifact, host, event=event)
+    return host
+
+
+def _check_artifacts(
+    monitor: Monitor, partition_index: int, artifacts: list[VariantArtifact]
+) -> None:
+    if monitor.config is None:
+        raise MonitorError("cannot update an unprovisioned deployment")
+    for artifact in artifacts:
+        if artifact.spec.partition_index != partition_index:
+            raise MonitorError(
+                f"artifact {artifact.variant_id} targets partition "
+                f"{artifact.spec.partition_index}, not {partition_index}"
+            )
 
 
 def partial_update(
@@ -26,39 +62,18 @@ def partial_update(
 ) -> list[VariantHost]:
     """Replace the variants of one partition with fresh pool artifacts.
 
-    Old variant TEEs are retired (terminated + ledger "retire" entries);
-    new ones go through the full attestation/key/bind flow with ledger
-    event "update".
+    New variants go through the full attestation/key/bind flow with
+    ledger event "update"; the old variant TEEs are then retired
+    (terminated + ledger "retire" entries).
     """
-    if monitor.config is None:
-        raise MonitorError("cannot update an unprovisioned deployment")
-    for artifact in new_artifacts:
-        if artifact.spec.partition_index != partition_index:
-            raise MonitorError(
-                f"artifact {artifact.variant_id} targets partition "
-                f"{artifact.spec.partition_index}, not {partition_index}"
-            )
-    old_connections = list(monitor.connections.get(partition_index, ()))
-    new_hosts = []
-    for artifact in new_artifacts:
-        host = VariantHost.place(artifact, orchestrator._pick_cpu())
-        monitor._bootstrap_variant(partition_index, artifact, host, event="update")
-        new_hosts.append(host)
-    for connection in old_connections:
-        connection.host.terminate()
-        monitor.ledger.append(
-            variant_id=connection.variant_id,
-            partition_index=partition_index,
-            enclave_id=connection.host.enclave.enclave_id,
-            measurement=connection.measurement,
-            channel_id=connection.channel.channel_id,
-            event="retire",
-        )
-    monitor.connections[partition_index] = [
-        c
-        for c in monitor.connections.get(partition_index, [])
-        if not c.host.crashed
+    _check_artifacts(monitor, partition_index, new_artifacts)
+    old = [c.variant_id for c in monitor.connections.get(partition_index, ())]
+    new_hosts = [
+        place_and_bind(monitor, orchestrator, partition_index, artifact, event="update")
+        for artifact in new_artifacts
     ]
+    for variant_id in old:
+        monitor.retire_variant(variant_id)
     monitor.ledger.verify_chain()
     return new_hosts
 
@@ -70,17 +85,10 @@ def scale_partition(
     extra_artifacts: list[VariantArtifact],
 ) -> list[VariantHost]:
     """Horizontal scaling: add variants to a partition without retiring."""
-    if monitor.config is None:
-        raise MonitorError("cannot scale an unprovisioned deployment")
-    new_hosts = []
-    for artifact in extra_artifacts:
-        if artifact.spec.partition_index != partition_index:
-            raise MonitorError(
-                f"artifact {artifact.variant_id} targets partition "
-                f"{artifact.spec.partition_index}, not {partition_index}"
-            )
-        host = VariantHost.place(artifact, orchestrator._pick_cpu())
-        monitor._bootstrap_variant(partition_index, artifact, host, event="update")
-        new_hosts.append(host)
+    _check_artifacts(monitor, partition_index, extra_artifacts)
+    new_hosts = [
+        place_and_bind(monitor, orchestrator, partition_index, artifact, event="update")
+        for artifact in extra_artifacts
+    ]
     monitor.ledger.verify_chain()
     return new_hosts

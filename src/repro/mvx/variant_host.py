@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from typing import Protocol
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from repro.mvx.wire import decode_message, encode_message
 from repro.observability.metrics import MetricsRegistry, get_global_registry
 from repro.runtime import create_runtime
 from repro.runtime.base import InferenceRuntime, RuntimeCrash
+from repro.runtime.faults import apply_fault_spec
 from repro.tee.attestation import Quote, make_quote
 from repro.tee.channel import SecureChannel
 from repro.tee.enclave import Enclave
@@ -34,11 +36,30 @@ from repro.tee.hardware import SimulatedCpu
 from repro.variants.pool import VariantArtifact
 from repro.variants.spec import VariantSpec
 
-__all__ = ["VariantHost", "VariantUnavailable"]
+__all__ = ["VariantControl", "VariantHost", "VariantUnavailable"]
 
 
 class VariantUnavailable(Exception):
     """The variant TEE crashed or was terminated; no response will come."""
+
+
+class VariantControl(Protocol):
+    """Operator control of one variant, wherever its runtime lives.
+
+    :class:`VariantHost` implements it in-process;
+    :class:`repro.cluster.WorkerProcess` implements it for a forked
+    worker by running the same host methods inside the child.
+    """
+
+    @property
+    def incarnation(self) -> object:
+        """Identity of the running runtime (changes on re-bootstrap)."""
+
+    def inject_fault(self, spec: dict) -> dict:
+        """Apply one fault spec; raises :class:`VariantUnavailable` if rejected."""
+
+    def configure(self, **attrs) -> dict:
+        """Set latency attributes; returns their previous values."""
 
 
 @dataclass
@@ -173,9 +194,7 @@ class VariantHost:
         except RuntimeCrash as exc:
             # The TEE process dies; mark dead *before* raising so every
             # later request also fails (no response semantics).
-            self.crashed = True
-            self.crash_reason = str(exc)
-            self.enclave.terminate()
+            self.mark_crashed(str(exc))
             raise VariantUnavailable(
                 f"variant {self.variant_id} crashed during inference: {exc}"
             ) from exc
@@ -197,8 +216,54 @@ class VariantHost:
         """Number of successful inference responses."""
         return self._served
 
+    # ------------------------------------------------------------------
+    # Operator control (VariantControl)
+    # ------------------------------------------------------------------
+
+    @property
+    def incarnation(self) -> int:
+        """``id`` of the runtime: a re-bootstrapped variant gets a new one."""
+        return id(self.runtime)
+
+    def inject_fault(self, spec: dict) -> dict:
+        """Apply one :func:`~repro.runtime.faults.apply_fault_spec` spec.
+
+        Raises :class:`VariantUnavailable` when the variant has no
+        runtime or the spec is rejected (unknown kind, missing tensor,
+        out-of-range index).
+        """
+        if self.runtime is None:
+            raise VariantUnavailable(f"variant {self.variant_id} has no runtime")
+        try:
+            return apply_fault_spec(self.runtime, spec)
+        except (KeyError, ValueError, TypeError, IndexError, AssertionError) as exc:
+            raise VariantUnavailable(
+                f"variant {self.variant_id} rejected fault spec: {exc}"
+            ) from exc
+
+    def configure(
+        self,
+        *,
+        simulated_latency: float | None = None,
+        realtime_latency: bool | None = None,
+    ) -> dict:
+        """Set the latency attributes given; returns their previous values."""
+        changes = {
+            "simulated_latency": simulated_latency,
+            "realtime_latency": realtime_latency,
+        }
+        previous = {k: getattr(self, k) for k, v in changes.items() if v is not None}
+        for attr in previous:
+            setattr(self, attr, changes[attr])
+        return previous
+
+    def mark_crashed(self, reason: str) -> None:
+        """The TEE died: every later request fails (first reason sticks)."""
+        if not self.crashed:
+            self.crashed = True
+            self.crash_reason = reason
+            self.enclave.terminate()
+
     def terminate(self) -> None:
         """Tear the variant TEE down (monitor response or update retire)."""
-        self.crashed = True
-        self.crash_reason = self.crash_reason or "terminated by monitor"
-        self.enclave.terminate()
+        self.mark_crashed("terminated by monitor")

@@ -22,7 +22,7 @@ report through here instead of ad-hoc counters.
   rates, latency quantiles) to an OK/WARN/CRIT verdict.
 - :mod:`repro.observability.sinks` -- :class:`Sinks`, the
   tracer/metrics/recorder bundle every serving surface accepts as
-  ``sinks=`` (the individual kwargs are deprecated).
+  ``sinks=``.
 """
 
 from repro.observability.forensics import (

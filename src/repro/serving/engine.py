@@ -53,10 +53,8 @@ from repro.observability.recorder import (
     KIND_ENGINE_ERROR,
     KIND_REQUEST_SHED,
     KIND_REQUEST_TIMEOUT,
-    FlightRecorder,
 )
-from repro.observability.sinks import Sinks, coerce_sinks
-from repro.observability.tracing import Tracer
+from repro.observability.sinks import Sinks
 from repro.serving.admission import AdmissionQueue
 from repro.serving.batching import BatchPolicy, MicroBatcher
 from repro.serving.errors import DeadlineExceeded, EngineStopped, Overloaded
@@ -194,18 +192,9 @@ class ServingEngine:
         *,
         policy: ServingPolicy | None = None,
         sinks: Sinks | None = None,
-        registry: MetricsRegistry | None = None,
-        tracer: Tracer | None = None,
-        recorder: FlightRecorder | None = None,
         clock: Callable[[], float] = time.monotonic,
     ):
-        sinks = coerce_sinks(
-            sinks,
-            owner="ServingEngine",
-            tracer=tracer,
-            metrics=registry,
-            recorder=recorder,
-        )
+        sinks = sinks if sinks is not None else Sinks()
         self.system = system
         self.policy = policy if policy is not None else ServingPolicy()
         self.registry = (

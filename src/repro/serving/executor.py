@@ -8,10 +8,10 @@ kernels inside the variant runtimes release the GIL, so the replicas
 genuinely overlap and the checkpoint waits only for the slowest.
 
 The executor plugs into a run as its *dispatcher* (via
-:class:`~repro.mvx.scheduler.InferenceOptions` or directly on the
-monitor) and sits behind the scheduler's ``_stage_once`` contract: same
-feeds in, same :class:`~repro.mvx.voting.VariantOutput` list out, same
-span/metric emission -- only the wall clock differs.  On top of the
+:class:`~repro.mvx.scheduler.InferenceOptions`) and sits behind the
+scheduler's ``_stage_once`` contract: same feeds in, same
+:class:`~repro.mvx.voting.VariantOutput` list out, same span/metric
+emission -- only the wall clock differs.  On top of the
 parallelism it enforces a per-batch deadline (raising
 :class:`~repro.serving.errors.DeadlineExceeded` when a replica cannot
 answer in time) and retries one round trip once when a variant fails

@@ -63,6 +63,13 @@ class VariantPool:
         """All pooled artifacts of one partition."""
         return list(self.artifacts.get(index, ()))
 
+    def artifact(self, index: int, variant_id: str) -> VariantArtifact | None:
+        """The pooled artifact of one variant of a partition, if any."""
+        return next(
+            (a for a in self.artifacts.get(index, ()) if a.variant_id == variant_id),
+            None,
+        )
+
     def select(self, index: int, count: int, *, seed: int | None = None) -> list[VariantArtifact]:
         """Pick ``count`` variants for a partition (deterministic or random).
 

@@ -8,6 +8,8 @@ replay identity, injector restore really reverting state, and a short
 in-process campaign holding the floor end to end.
 """
 
+import time
+
 import numpy as np
 import pytest
 
@@ -21,16 +23,18 @@ from repro.chaos import (
     ChaosCampaign,
     CveInjector,
     ForkInjector,
+    FrameFlipInjector,
     InjectionError,
     InjectionTarget,
     ProbeResult,
     RollbackInjector,
     SlowVariantInjector,
+    WeightFlipInjector,
     WindowObservation,
     WorkerKillInjector,
     judge,
 )
-from repro.mvx import MvteeSystem, ResponseAction
+from repro.mvx import MonitorError, MvteeSystem, ResponseAction
 from repro.serving.engine import ServingPolicy
 
 
@@ -294,6 +298,85 @@ class TestInjectorRestore:
         assert host.simulated_latency == 0.0 and not host.realtime_latency
         injector.restore(target)  # idempotent
         assert host.simulated_latency == 0.0
+
+
+@pytest.fixture(scope="module", params=["inprocess", "process"])
+def parity_system(request, small_resnet):
+    """One deployment per execution mode.  The replicated partition is
+    the last, which holds the Gemm the corruption CVE targets; HALT
+    keeps a dissenting victim bound, so restore has to revert it in
+    place."""
+    system = MvteeSystem.deploy(
+        small_resnet,
+        num_partitions=3,
+        mvx_partitions={2: 3},
+        seed=0,
+        verify_partitions=False,
+        verify_variants=False,
+        execution=request.param,
+    )
+    yield system
+    system.shutdown()
+
+
+PARITY_INJECTORS = {
+    "cve": lambda: CveInjector(case=CORRUPTION_CVE, num_probes=1),
+    "frameflip": lambda: FrameFlipInjector(),
+    "weight-flip": lambda: WeightFlipInjector(num_flips=3),
+    "slow-variant": lambda: SlowVariantInjector(added_latency_s=0.3),
+}
+
+
+class TestInjectorParity:
+    """Each injector has one effect and one revert, whether the victim
+    runs in-process or in a forked worker."""
+
+    @pytest.mark.parametrize("kind", sorted(PARITY_INJECTORS))
+    def test_inject_then_restore(self, parity_system, small_input, kind):
+        system = parity_system
+        target = InjectionTarget(
+            system=system,
+            engine=system.serving_engine(),
+            benign_feeds={"input": small_input},
+        )
+        injector = PARITY_INJECTORS[kind]()
+        assert injector.supported(target)
+        injector.resolve(target, np.random.default_rng(7))
+        (victim,) = injector.targets
+        feeds = injector.probes(target)[0] if kind == "cve" else {"input": small_input}
+
+        def infer():
+            return system.infer({k: np.array(v, copy=True) for k, v in feeds.items()})
+
+        before = infer()
+        incidents = len(system.monitor.incidents())
+        injector.inject(target)
+        try:
+            if kind == "slow-variant":
+                host = target.connection(victim).host
+                assert host.simulated_latency == 0.3 and host.realtime_latency
+                start = time.monotonic()
+                infer()
+                assert time.monotonic() - start >= 0.3
+            else:
+                with pytest.raises(MonitorError):
+                    infer()  # unanimous vote under HALT
+                named = [
+                    i
+                    for i in system.monitor.incidents()[incidents:]
+                    if victim in i.suspected_culprits
+                ]
+                assert named and named[0].kind == "divergence"
+        finally:
+            injector.restore(target)
+        # Still the same incarnation: restore reverted it in place.
+        assert victim in [vid for _, vid in target.live()]
+        host = target.connection(victim).host
+        assert host.simulated_latency == 0.0 and not host.realtime_latency
+        after = infer()
+        assert set(after) == set(before)
+        for name in before:
+            np.testing.assert_array_equal(after[name], before[name])
 
 
 class TestLiveCampaign:

@@ -12,6 +12,7 @@ import os
 import signal
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -399,6 +400,66 @@ class TestShutdownHygiene:
         assert system.cluster not in _LIVE_SUPERVISORS
         assert shm.tracked_segment_names() == set()
         system.cluster = None  # already torn down
+
+
+# ----------------------------------------------------------------------
+# Updates on a process-mode deployment
+# ----------------------------------------------------------------------
+
+
+class TestProcessModeUpdates:
+    """Variants added by an update or a scale-up run in supervised
+    workers; the variants an update retires give their workers up."""
+
+    @pytest.mark.parametrize(
+        "change",
+        [
+            lambda system: system.update_partition(1, seed=5),
+            lambda system: system.scale_up(1, 1, seed=7),
+        ],
+        ids=["update_partition", "scale_up"],
+    )
+    def test_changed_variants_live_in_workers(self, small_resnet, small_input, change):
+        inprocess = MvteeSystem.deploy(
+            small_resnet,
+            num_partitions=3,
+            mvx_partitions={1: 3},
+            seed=0,
+            verify_partitions=False,
+            verify_variants=False,
+        )
+        system = deploy_cluster(small_resnet)
+        before = system.cluster.workers()
+        change(inprocess)
+        change(system)
+        assert {i: len(v) for i, v in system.live_variants().items()} == {
+            i: len(v) for i, v in inprocess.live_variants().items()
+        }
+        live = [vid for vids in system.live_variants().values() for vid in vids]
+        workers = system.cluster.workers()
+        try:
+            for vid in live:
+                assert workers[vid].is_alive()
+                assert workers[vid].pid != os.getpid()
+            retired = [w for vid, w in before.items() if vid not in live]
+            for worker in retired:
+                assert not worker.is_alive()
+                with pytest.raises(OSError):
+                    os.kill(worker.pid, 0)
+            assert system.cluster.live_worker_count() == len(live)
+            outputs = system.infer({"input": small_input})
+            expected = inprocess.infer({"input": small_input})
+            assert set(outputs) == set(expected)
+            for name in expected:
+                np.testing.assert_array_equal(outputs[name], expected[name])
+        finally:
+            system.shutdown()
+        pids = [w.pid for w in [*before.values(), *workers.values()]]
+        assert shm.tracked_segment_names() == set()
+        for pid in pids:
+            assert not list(Path("/dev/shm").glob(f"mvtee-{pid}-*"))
+            with pytest.raises(OSError):
+                os.kill(pid, 0)
 
 
 # ----------------------------------------------------------------------

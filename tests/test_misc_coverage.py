@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from repro.graph.dtypes import DataType
-from repro.mvx.scheduler import run
+from repro.mvx.scheduler import InferenceOptions, run
+from repro.observability import MetricsRegistry, Sinks
 from repro.simulation import CostModel
 from repro.simulation.pipeline import StagePlan, VariantSim
 
@@ -54,8 +55,17 @@ class TestDataTypes:
 
 class TestRunStatsTimings:
     def test_stage_timings_recorded(self, deployed_system, small_input):
-        results, stats = run(deployed_system.monitor, [{"input": small_input}])
-        timings = stats.extra["stage_seconds"]
+        registry = MetricsRegistry()
+        run(
+            deployed_system.monitor,
+            [{"input": small_input}],
+            InferenceOptions(sinks=Sinks(metrics=registry)),
+        )
+        hist = registry.histogram("mvtee_stage_seconds")
+        timings = {
+            int(labels["partition"]): hist.sum(**labels)
+            for labels in hist.label_sets()
+        }
         assert set(timings) == {0, 1, 2}
         assert all(t > 0 for t in timings.values())
         # The 3-variant MVX stage costs more wall time than fast-path stages.

@@ -305,19 +305,22 @@ class TestUnifiedInferenceApi:
         # The run ran async but the provisioned config is untouched.
         assert deployed_system.config.execution_mode == "sync"
 
-    def test_stage_histogram_matches_legacy_stage_seconds(self, deployed_system):
+    def test_stage_histogram_matches_stage_spans(self, deployed_system):
         rng = np.random.default_rng(8)
-        registry = MetricsRegistry()
+        registry, tracer = MetricsRegistry(), Tracer()
         deployed_system.infer_batches(
-            _batches(2, rng), InferenceOptions(sinks=Sinks(metrics=registry))
+            _batches(2, rng),
+            InferenceOptions(sinks=Sinks(metrics=registry, tracer=tracer)),
         )
-        stats = deployed_system.last_stats
         hist = registry.histogram("mvtee_stage_seconds")
-        legacy = stats.extra["stage_seconds"]
-        assert set(legacy) == set(range(len(deployed_system.partition_set)))
-        for index, total in legacy.items():
-            assert hist.sum(partition=index) == pytest.approx(total)
-            assert hist.count(partition=index) == 2  # one per batch
+        spans = tracer.find("stage")
+        for index in range(len(deployed_system.partition_set)):
+            stage_spans = [s for s in spans if s.attributes["partition"] == index]
+            assert hist.count(partition=index) == len(stage_spans) == 2
+            # The histogram times execute_stage inside the span.
+            assert 0 < hist.sum(partition=index) <= sum(
+                s.duration for s in stage_spans
+            )
         text = registry.render_prometheus()
         assert 'mvtee_stage_seconds_bucket{le="+Inf",partition="0"} 2' in text
 

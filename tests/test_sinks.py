@@ -1,4 +1,4 @@
-"""The Sinks bundle and the one-cycle deprecation of the kwarg trio."""
+"""The Sinks bundle: the one observability spelling of every serving surface."""
 
 from __future__ import annotations
 
@@ -14,7 +14,6 @@ from repro.observability import (
     Sinks,
     Tracer,
 )
-from repro.observability.sinks import coerce_sinks
 from repro.serving import ServingEngine
 
 
@@ -55,43 +54,9 @@ class TestSinksBundle:
         assert bundle.tracer is tracer
         assert bundle.metrics is metrics
 
-    def test_coerce_rejects_mixing_bundle_and_legacy(self):
-        with pytest.raises(ValueError, match="not both"):
-            coerce_sinks(Sinks(), owner="test", metrics=MetricsRegistry())
 
-    def test_coerce_warns_exactly_once_for_any_legacy_mix(self):
-        with pytest.warns(DeprecationWarning) as record:
-            coerce_sinks(
-                None,
-                owner="test",
-                tracer=Tracer(),
-                metrics=MetricsRegistry(),
-                recorder=FlightRecorder(),
-            )
-        assert len(record) == 1
-        assert "test" in str(record[0].message)
-
-
-class TestBackCompatSpellings:
-    """Old kwarg spellings keep working for one deprecation cycle."""
-
-    def test_deploy_legacy_kwargs_warn_once_and_work(self, small_resnet):
-        registry = MetricsRegistry()
-        recorder = FlightRecorder()
-        with pytest.warns(DeprecationWarning) as record:
-            system = MvteeSystem.deploy(
-                small_resnet,
-                num_partitions=3,
-                mvx_partitions={1: 2},
-                seed=0,
-                verify_partitions=False,
-                verify_variants=False,
-                metrics=registry,
-                recorder=recorder,
-            )
-        assert len(record) == 1
-        assert system.monitor.metrics is registry
-        assert system.monitor.recorder is recorder
+class TestSinksSpellings:
+    """Every surface takes its observability sinks as one ``sinks=`` bundle."""
 
     def test_deploy_sinks_spelling_is_warning_free(self, small_resnet):
         registry = MetricsRegistry()
@@ -108,33 +73,17 @@ class TestBackCompatSpellings:
             )
         assert system.monitor.metrics is registry
 
-    def test_inference_options_legacy_kwargs_warn_once_and_work(self, system):
-        registry = MetricsRegistry()
-        with pytest.warns(DeprecationWarning) as record:
-            options = InferenceOptions(metrics=registry, tracer=Tracer())
-        assert len(record) == 1
-        system.infer_batches([_feeds()], options)
-        assert registry.counter("mvtee_checkpoints_total").total() >= 1
-
-    def test_inference_options_sinks_normalizes_trio_fields(self, system):
+    def test_inference_options_sinks_spelling(self, system):
         registry, tracer = MetricsRegistry(), Tracer()
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             options = InferenceOptions(
                 sinks=Sinks(tracer=tracer, metrics=registry)
             )
-        # The bundle is the API; the trio stays readable for internals.
-        assert options.metrics is registry
-        assert options.tracer is tracer
+        assert options.sinks.metrics is registry
+        assert options.sinks.tracer is tracer
         system.infer_batches([_feeds()], options)
         assert registry.counter("mvtee_checkpoints_total").total() >= 1
-
-    def test_serving_engine_legacy_registry_kwarg_warns_once(self, system):
-        registry = MetricsRegistry()
-        with pytest.warns(DeprecationWarning) as record:
-            engine = ServingEngine(system, registry=registry)
-        assert len(record) == 1
-        assert engine.registry is registry
 
     def test_system_serving_engine_sinks_spelling(self, system):
         registry = MetricsRegistry()
@@ -149,22 +98,10 @@ class TestBackCompatSpellings:
         with engine:
             assert engine.submit(_feeds()).result(timeout=30.0)
 
-    def test_system_serving_engine_legacy_kwargs_warn_once(self, system):
-        registry = MetricsRegistry()
-        with pytest.warns(DeprecationWarning) as record:
-            engine = system.serving_engine(
-                registry=registry, recorder=FlightRecorder()
-            )
-        assert len(record) == 1
-        assert engine.registry is registry
-
-    def test_legacy_and_sinks_equivalent_outputs(self, system):
-        feeds = _feeds(3)
-        with pytest.warns(DeprecationWarning):
-            legacy_opts = InferenceOptions(metrics=MetricsRegistry())
-        legacy = system.infer_batches([feeds], legacy_opts)[0]
-        modern = system.infer_batches(
-            [feeds], InferenceOptions(sinks=Sinks(metrics=MetricsRegistry()))
-        )[0]
-        (name,) = modern
-        np.testing.assert_array_equal(legacy[name], modern[name])
+    def test_individual_sink_kwargs_are_retired(self, system):
+        with pytest.raises(TypeError):
+            InferenceOptions(metrics=MetricsRegistry())
+        with pytest.raises(TypeError):
+            ServingEngine(system, registry=MetricsRegistry())
+        with pytest.raises(TypeError):
+            system.serving_engine(recorder=FlightRecorder())
