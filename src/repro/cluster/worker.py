@@ -23,6 +23,7 @@ crashes share one detection path.
 
 from __future__ import annotations
 
+import ctypes
 import os
 import time
 import warnings
@@ -92,8 +93,54 @@ def _record_tensor(record: bytes) -> dict[str, np.ndarray]:
 # ----------------------------------------------------------------------
 
 
+def _openblas_symbol(lib: ctypes.CDLL, op: str):
+    """``lib``'s ``openblas_{op}_num_threads`` under any build's prefix/suffix."""
+    for prefix in ("", "scipy_"):
+        for suffix in ("", "64_", "_64"):
+            fn = getattr(lib, f"{prefix}openblas_{op}_num_threads{suffix}", None)
+            if fn is not None:
+                return fn
+    return None
+
+
+def _single_blas_thread() -> int | None:
+    """Run this process's OpenBLAS on one thread; return its thread count.
+
+    Each variant is its own process, so the replicas already supply the
+    parallelism: a multi-threaded BLAS in every worker only makes the
+    workers' helper threads contend for the same cores.  Returns None
+    (and changes nothing) when no OpenBLAS is loaded.
+    """
+    try:
+        with open("/proc/self/maps") as maps:
+            # Fields: address perms offset dev inode [pathname].
+            mapped = [line.split(maxsplit=5) for line in maps]
+    except OSError:
+        return None
+    paths = {
+        fields[5].strip()
+        for fields in mapped
+        if len(fields) == 6 and "openblas" in os.path.basename(fields[5]).lower()
+    }
+    for path in sorted(paths):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        set_threads = _openblas_symbol(lib, "set")
+        get_threads = _openblas_symbol(lib, "get")
+        if set_threads is None or get_threads is None:
+            continue
+        set_threads.argtypes, set_threads.restype = [ctypes.c_int], None
+        get_threads.argtypes, get_threads.restype = [], ctypes.c_int
+        set_threads(1)
+        return get_threads()
+    return None
+
+
 def _worker_main(conn, host: VariantHost, threshold: int) -> None:
     """Serve loop of the forked child; never returns."""
+    blas_threads = _single_blas_thread()
     # The fork copied the parent's registry (and possibly a lock held by
     # a parent thread mid-increment): start from a fresh one.  Child-side
     # metrics are per-process and intentionally not merged back.
@@ -117,6 +164,7 @@ def _worker_main(conn, host: VariantHost, threshold: int) -> None:
                         "pid": os.getpid(),
                         "served": host.inferences_served,
                         "crashed": host.crashed,
+                        "blas_threads": blas_threads,
                     },
                 )
             )

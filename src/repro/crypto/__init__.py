@@ -7,8 +7,11 @@ test-vector-verified implementations built from scratch:
 
 - :mod:`repro.crypto.aes` -- the AES block cipher (128/192/256 bit keys).
 - :mod:`repro.crypto.gcm` -- AES-GCM authenticated encryption.
-- :mod:`repro.crypto.chacha` -- ChaCha20-Poly1305, numpy-vectorized for
-  bulk tensor payloads (pure-Python AES is too slow for megabyte records).
+- :mod:`repro.crypto.chacha` -- ChaCha20-Poly1305 (RFC 8439) with a
+  numpy-vectorized keystream.
+- :mod:`repro.crypto.etm` -- the bulk-record default: a SHAKE256 +
+  keyed-BLAKE2b encrypt-then-MAC AEAD on stdlib ``hashlib``, fast enough
+  for megabyte tensor records.
 - :mod:`repro.crypto.aead` -- a uniform AEAD interface and registry.
 - :mod:`repro.crypto.kdf` -- HKDF-SHA256 key derivation.
 - :mod:`repro.crypto.keys` -- key manager: variant-specific keys act as
@@ -22,6 +25,7 @@ from repro.crypto.aead import Aead, AeadError, get_aead, available_aeads
 from repro.crypto.aes import AesBlockCipher
 from repro.crypto.gcm import AesGcm
 from repro.crypto.chacha import ChaCha20Poly1305
+from repro.crypto.etm import ShakeBlake2b
 from repro.crypto.kdf import hkdf_expand, hkdf_extract, hkdf_sha256, hmac_sha256
 from repro.crypto.keys import KeyManager, KeyUsageExceeded
 from repro.crypto.sealed import SealedBlob, SealError, seal_bytes, unseal_bytes
@@ -36,6 +40,7 @@ __all__ = [
     "KeyUsageExceeded",
     "SealedBlob",
     "SealError",
+    "ShakeBlake2b",
     "available_aeads",
     "get_aead",
     "hkdf_expand",

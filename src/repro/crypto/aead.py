@@ -11,15 +11,18 @@ from __future__ import annotations
 from typing import Protocol
 
 from repro.crypto.chacha import ChaCha20Poly1305, ChaChaAuthError
+from repro.crypto.etm import EtmAuthError, ShakeBlake2b
 from repro.crypto.gcm import AesGcm, GcmAuthError
 
-__all__ = ["Aead", "AeadError", "get_aead", "available_aeads", "DEFAULT_CONTROL_AEAD", "DEFAULT_BULK_AEAD"]
+__all__ = ["Aead", "AeadError", "get_aead", "available_aeads", "DEFAULT_BULK_AEAD"]
 
-AeadError = (GcmAuthError, ChaChaAuthError)
+AeadError = (GcmAuthError, ChaChaAuthError, EtmAuthError)
 """Exception types raised on authentication failure by any registered AEAD."""
 
-DEFAULT_CONTROL_AEAD = "aes-gcm"
-DEFAULT_BULK_AEAD = "chacha20-poly1305"
+#: Every channel and new sealed blob uses this suite unless told otherwise.
+#: ChaCha20-Poly1305 and AES-GCM stay registered as test-vector-checked
+#: reference suites, and so that blobs sealed under them still unseal.
+DEFAULT_BULK_AEAD = ShakeBlake2b.name
 
 
 class Aead(Protocol):
@@ -38,6 +41,7 @@ class Aead(Protocol):
 _REGISTRY = {
     AesGcm.name: AesGcm,
     ChaCha20Poly1305.name: ChaCha20Poly1305,
+    ShakeBlake2b.name: ShakeBlake2b,
 }
 
 

@@ -1,12 +1,11 @@
 """ChaCha20-Poly1305 AEAD (RFC 8439), with a numpy-vectorized keystream.
 
-The paper encrypts checkpoint tensors (hundreds of kilobytes to megabytes
-per record) with AES-GCM-256 via OpenSSL.  A pure-Python AES keystream is
-orders of magnitude too slow for that record size, so MVTEE's bulk record
-protection defaults to this AEAD: the ChaCha20 block function is evaluated
-for all blocks of a record at once as numpy ``uint32`` array arithmetic,
-reaching tens of MB/s.  The security properties relied on by the system
-(confidentiality + integrity + per-record nonce freshness) are identical.
+The ChaCha20 block function is evaluated for all blocks of a record at
+once as numpy ``uint32`` array arithmetic; Poly1305 is a Python big-int
+loop.  That reaches only a few MB/s, so bulk records default to the
+hashlib suite in :mod:`repro.crypto.etm`.  This suite stays registered as
+a test-vector-checked reference, and because sealed blobs name their
+AEAD in the header: blobs already sealed with it must still unseal.
 """
 
 from __future__ import annotations

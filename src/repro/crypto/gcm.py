@@ -2,10 +2,10 @@
 
 This is the cipher the paper names for all inter-TEE traffic
 ("AES-GCM-256").  GHASH is implemented over GF(2^128) with the standard
-right-shift carry-less multiply.  This pure-Python AEAD is used for
-control-plane messages (attestation, key distribution, bindings); bulk
-tensor records default to the numpy-vectorized ChaCha20-Poly1305 in
-:mod:`repro.crypto.chacha`, selectable per channel.
+right-shift carry-less multiply.  This pure-Python AEAD is a registered,
+test-vector-checked reference suite, selectable per channel or sealed
+blob; it is far too slow for tensor records, which default to the
+hashlib encrypt-then-MAC suite in :mod:`repro.crypto.etm`.
 """
 
 from __future__ import annotations

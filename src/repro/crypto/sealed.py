@@ -15,13 +15,14 @@ import json
 import secrets
 from dataclasses import dataclass
 
-from repro.crypto.aead import DEFAULT_BULK_AEAD, AeadError, get_aead
+from repro.crypto.aead import DEFAULT_BULK_AEAD, AeadError, available_aeads, get_aead
 from repro.crypto.kdf import hkdf_sha256
 from repro.crypto.keys import KeyRecord
 
 __all__ = ["SealedBlob", "SealError", "seal_bytes", "unseal_bytes"]
 
 _MAGIC = "mvtee-sealed-v1"
+_NONCE_SIZE = 12
 
 
 class SealError(Exception):
@@ -72,18 +73,28 @@ class SealedBlob:
             header = json.loads(data[4 : 4 + header_len])
         except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise SealError(f"sealed blob header is not valid JSON: {exc}") from exc
-        if header.get("magic") != _MAGIC:
+        if not isinstance(header, dict) or header.get("magic") != _MAGIC:
             raise SealError("sealed blob has wrong magic")
-        return cls(
-            aead=header["aead"],
-            key_id=header["key_id"],
-            derivation_counter=int(header["counter"]),
-            derivation_salt=bytes.fromhex(header["salt"]),
-            nonce=bytes.fromhex(header["nonce"]),
-            freshness=int(header["freshness"]),
-            path=header["path"],
-            ciphertext=data[4 + header_len :],
-        )
+        try:
+            blob = cls(
+                aead=header["aead"],
+                key_id=header["key_id"],
+                derivation_counter=int(header["counter"]),
+                derivation_salt=bytes.fromhex(header["salt"]),
+                nonce=bytes.fromhex(header["nonce"]),
+                freshness=int(header["freshness"]),
+                path=header["path"],
+                ciphertext=data[4 + header_len :],
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise SealError(f"sealed blob header is malformed: {exc!r}") from exc
+        if not (isinstance(blob.key_id, str) and isinstance(blob.path, str)):
+            raise SealError("sealed blob key_id and path must be strings")
+        if blob.aead not in available_aeads():
+            raise SealError(f"sealed blob names unknown AEAD {blob.aead!r}")
+        if len(blob.nonce) != _NONCE_SIZE:
+            raise SealError(f"sealed blob nonce must be {_NONCE_SIZE} bytes")
+        return blob
 
 
 def _derive_file_key(kdk: bytes, key_id: str, counter: int, salt: bytes, path: str) -> bytes:
@@ -111,7 +122,7 @@ def seal_bytes(
     key_record.derive("file-seal", context=salt + path.encode())  # burn + account
     counter = key_record.derivations
     file_key = _derive_file_key(key_record.key, key_record.key_id, counter, salt, path)
-    nonce = secrets.token_bytes(12)
+    nonce = secrets.token_bytes(_NONCE_SIZE)
     blob = SealedBlob(
         aead=aead_name,
         key_id=key_record.key_id,

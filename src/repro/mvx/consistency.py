@@ -27,10 +27,22 @@ def cosine_similarity(a: np.ndarray, b: np.ndarray) -> float:
     """Cosine similarity of two tensors, flattened; 1.0 = identical direction."""
     flat_a = a.astype(np.float64).reshape(-1)
     flat_b = b.astype(np.float64).reshape(-1)
-    norm = float(np.linalg.norm(flat_a) * np.linalg.norm(flat_b))
+    norm = float(np.sqrt(_dot(flat_a, flat_a)) * np.sqrt(_dot(flat_b, flat_b)))
     if norm == 0.0:
         return 1.0 if np.allclose(flat_a, flat_b) else 0.0
-    return float(np.dot(flat_a, flat_b) / norm)
+    return _dot(flat_a, flat_b) / norm
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> float:
+    """Inner product of two flat float64 vectors, on the calling thread.
+
+    ``np.dot``/``np.linalg.norm`` go to BLAS, which threads a long dot
+    product and then leaves its helper thread spinning.  The monitor
+    votes on every checkpoint, so that spinner would compete for cores
+    with the variant workers between votes.  ``einsum`` sums on the
+    caller's thread and wakes no pool.
+    """
+    return float(np.einsum("i,i->", a, b))
 
 
 def mean_squared_error(a: np.ndarray, b: np.ndarray) -> float:

@@ -167,6 +167,17 @@ class TestProcessDeployment:
         assert meta["pid"] == worker.pid
         assert meta["served"] >= 1 and not meta["crashed"]
 
+    def test_workers_run_single_threaded_blas(self, cluster_system, small_input):
+        # Each variant is its own process, so one BLAS thread per worker
+        # keeps the workers from oversubscribing the cores.
+        cluster_system.infer({"input": small_input})
+        metas = [w.ping(timeout=5.0) for w in cluster_system.cluster.workers().values()]
+        assert all(meta is not None for meta in metas)
+        threads = {meta["blas_threads"] for meta in metas}
+        if threads == {None}:
+            pytest.skip("numpy is not linked against OpenBLAS")
+        assert threads == {1}
+
     def test_lifecycle_events_audited(self, cluster_system):
         started = cluster_system.monitor.recorder.events(KIND_WORKER_STARTED)
         assert len(started) >= 5

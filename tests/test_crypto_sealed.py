@@ -1,5 +1,7 @@
 """Sealed blobs: roundtrip, tamper detection, key binding, registry."""
 
+import json
+
 import pytest
 
 from repro.crypto.aead import available_aeads, get_aead
@@ -106,10 +108,36 @@ class TestSealSecurity:
         with pytest.raises(SealError, match="magic"):
             SealedBlob.from_bytes(data)
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda h: {**h, "aead": "rot13"},
+            lambda h: {**h, "nonce": "00"},
+            lambda h: {k: v for k, v in h.items() if k != "salt"},
+            lambda h: {**h, "salt": "not-hex"},
+            lambda h: [h],
+            lambda h: {**h, "path": 7},
+        ],
+        ids=[
+            "unknown-aead",
+            "one-byte-nonce",
+            "missing-salt",
+            "non-hex-salt",
+            "list-header",
+            "non-string-path",
+        ],
+    )
+    def test_malformed_header_is_a_seal_error(self, record, edit):
+        blob = seal_bytes(record, "m", b"secret")
+        header = json.dumps(edit(json.loads(blob.header_bytes()))).encode()
+        data = len(header).to_bytes(4, "big") + header + blob.ciphertext
+        with pytest.raises(SealError):
+            unseal_bytes(record.key, "variant-7", SealedBlob.from_bytes(data))
+
 
 class TestAeadRegistry:
     def test_available(self):
-        assert available_aeads() == ["aes-gcm", "chacha20-poly1305"]
+        assert available_aeads() == ["aes-gcm", "chacha20-poly1305", "shake256-blake2b"]
 
     def test_unknown_rejected(self):
         with pytest.raises(ValueError, match="unknown AEAD"):

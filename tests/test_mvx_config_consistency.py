@@ -1,8 +1,14 @@
 """MVX configuration and consistency metrics."""
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
+import repro
 from repro.mvx.config import MvxConfig, PartitionClaim
 from repro.mvx.consistency import (
     ConsistencyPolicy,
@@ -99,6 +105,52 @@ class TestMetrics:
     def test_cosine_zero_vectors(self):
         assert cosine_similarity(np.zeros(3), np.zeros(3)) == 1.0
         assert cosine_similarity(np.zeros(3), np.ones(3)) == 0.0
+
+    def test_cosine_of_long_vectors_matches_blas(self):
+        rng = np.random.default_rng(0)
+        a = rng.normal(size=70_000)
+        b = a + rng.normal(scale=0.1, size=a.size)
+        expected = np.dot(a, b) / (np.linalg.norm(a) * np.linalg.norm(b))
+        assert cosine_similarity(a, b) == pytest.approx(expected, rel=1e-12)
+        assert cosine_similarity(a, a) == pytest.approx(1.0, rel=1e-12)
+
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_votes_leave_no_thread_spinning(self):
+        # A threaded BLAS dot product leaves a helper thread spinning
+        # after it returns; between checkpoint votes that spinner would
+        # take a core from the variant workers.  Run in a fresh process
+        # so that no other test's threads are counted.
+        script = textwrap.dedent(
+            """
+            import os, threading, time
+            import numpy as np
+            from repro.mvx.consistency import cosine_similarity
+
+            def other_threads_cpu_ticks():
+                me, total = str(threading.get_native_id()), 0
+                for tid in os.listdir("/proc/self/task"):
+                    if tid != me:
+                        with open(f"/proc/self/task/{tid}/stat") as stat:
+                            fields = stat.read().rsplit(")", 1)[1].split()
+                        total += int(fields[11]) + int(fields[12])
+                return total
+
+            a = np.random.default_rng(0).normal(size=65_536).astype(np.float32)
+            before = other_threads_cpu_ticks()
+            for _ in range(20):
+                cosine_similarity(a, a + 1e-4)
+                time.sleep(0.02)
+            print(other_threads_cpu_ticks() - before)
+            """
+        )
+        src = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ, PYTHONPATH=src)
+        done = subprocess.run(
+            [sys.executable, "-c", script], env=env, capture_output=True, text=True,
+            timeout=60, check=True,
+        )
+        # 20 votes and 0.4 s of sleep; a spinning helper burns ~40 ticks.
+        assert int(done.stdout) <= 5
 
     def test_mse(self):
         assert mean_squared_error(np.array([1.0, 3.0]), np.array([2.0, 1.0])) == pytest.approx(2.5)

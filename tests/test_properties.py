@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.crypto.aead import get_aead
+from repro.crypto.aead import available_aeads, get_aead
 from repro.crypto.chacha import chacha20_xor
 from repro.crypto.kdf import hkdf_sha256
 from repro.graph import GraphBuilder
@@ -29,7 +29,7 @@ class TestCryptoProperties:
         nonce=st.binary(min_size=12, max_size=12),
         plaintext=st.binary(max_size=512),
         aad=st.binary(max_size=64),
-        name=st.sampled_from(["aes-gcm", "chacha20-poly1305"]),
+        name=st.sampled_from(available_aeads()),
     )
     @settings(max_examples=40, deadline=None)
     def test_aead_roundtrip(self, key, nonce, plaintext, aad, name):
@@ -41,7 +41,7 @@ class TestCryptoProperties:
         nonce=st.binary(min_size=12, max_size=12),
         plaintext=st.binary(min_size=1, max_size=256),
         flip=st.integers(min_value=0, max_value=10_000),
-        name=st.sampled_from(["aes-gcm", "chacha20-poly1305"]),
+        name=st.sampled_from(available_aeads()),
     )
     @settings(max_examples=40, deadline=None)
     def test_aead_any_bitflip_detected(self, key, nonce, plaintext, flip, name):

@@ -4,6 +4,7 @@ import hashlib
 
 import pytest
 
+from repro.crypto.aead import available_aeads
 from repro.tee import (
     AttestationError,
     ChannelError,
@@ -16,7 +17,7 @@ from repro.tee import (
     establish_channel,
 )
 from repro.tee.attestation import fresh_nonce, make_quote
-from repro.tee.channel import DhKeyPair
+from repro.tee.channel import DhKeyPair, SecureChannel
 
 CODE = b"some enclave code"
 
@@ -182,6 +183,18 @@ class TestSecureChannel:
         record = mon.protect(b"to-variant")
         with pytest.raises(ChannelError):
             mon.open(record)  # reflected back at the sender
+
+    @pytest.mark.parametrize("aead_name", available_aeads())
+    def test_truncated_record_rejected(self, aead_name):
+        kwargs = dict(aead_name=aead_name, peer_report=None, channel_id="t")
+        key_a, key_b = bytes(32), bytes([1]) * 32
+        sender = SecureChannel(send_key=key_a, recv_key=key_b, **kwargs)
+        receiver = SecureChannel(send_key=key_b, recv_key=key_a, **kwargs)
+        record = sender.protect(b"payload")
+        for length in (0, 1, 15, len(record) - 1):
+            with pytest.raises(ChannelError):
+                receiver.open(record[:length])
+        assert receiver.open(record) == b"payload"
 
     def test_aad_binding(self, enclave, verifier):
         mon, var = establish_channel(
