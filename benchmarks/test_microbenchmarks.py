@@ -8,6 +8,8 @@ MVX inference on a small model.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,6 @@ from repro.crypto.aead import get_aead
 from repro.mvx import InferenceOptions, MvteeSystem
 from repro.mvx.consistency import ConsistencyPolicy
 from repro.partition import ContractionSettings, random_contraction
-from repro.serving import ParallelStageExecutor
 from repro.zoo import build_model
 
 
@@ -73,16 +74,17 @@ def test_bench_mvx_inference_sequential(benchmark, deployed):
     assert outputs
 
 
-def test_bench_parallel_vs_serial_dispatch(benchmark, deployed):
-    """Real wall-clock: thread-parallel variant fan-out on the MVX stage."""
-    import numpy as np
-
+def test_bench_mvx_inference_with_deadline(benchmark, deployed):
+    """Real wall-clock with a batch deadline: every stage, single-replica
+    ones included, goes through the dispatch pool with a timeout."""
     feeds = {
         "input": np.random.default_rng(2).normal(size=(1, 3, 16, 16)).astype(np.float32)
     }
-    with ParallelStageExecutor(max_workers=3) as executor:
-        options = InferenceOptions(dispatcher=executor)
-        outputs = benchmark(lambda: deployed.infer(feeds, options))
+    outputs = benchmark(
+        lambda: deployed.infer(
+            feeds, InferenceOptions(deadline=time.monotonic() + 30.0)
+        )
+    )
     assert outputs
 
 

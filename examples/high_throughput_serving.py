@@ -39,7 +39,6 @@ def main() -> None:
             max_batch_size=8,
             max_wait_s=0.005,
             default_deadline_s=5.0,
-            parallel_variants=True,
         )
     )
     rng = np.random.default_rng(0)

@@ -26,8 +26,11 @@ binding and re-running the full bootstrap (fresh enclave, fresh channel,
 fresh installation evidence) for the same variant artifact through
 :func:`repro.mvx.updates.place_and_bind`, then forking a new worker from
 the newly initialized host.  Variants added by a partial update or a
-scale-up get a slot through :meth:`ClusterSupervisor.adopt`; variants an
-update retires give theirs up through :meth:`ClusterSupervisor.release`.
+scale-up get a slot through :meth:`ClusterSupervisor.adopt`.  Whenever
+the monitor unbinds a variant (protective response, update, scale-down)
+the transport calls :meth:`ClusterSupervisor.park`, which stops the
+variant's live worker and keeps its slot, so :meth:`restart_now` can
+bring the variant back.
 """
 
 from __future__ import annotations
@@ -132,6 +135,8 @@ class ClusterSupervisor:
         self.recorder = recorder if recorder is not None else monitor.recorder
         self.heartbeat_interval_s = heartbeat_interval_s
         self.shm_threshold = shm_threshold
+        # The transport reports worker deaths and unbinds back to us.
+        transport.supervisor = self
         self._slots: dict[str, _Slot] = {}
         self._lock = threading.RLock()
         self._stop = threading.Event()
@@ -189,11 +194,16 @@ class ClusterSupervisor:
             self._slots[host.variant_id] = slot
             return self._spawn(slot, host)
 
-    def release(self, variant_id: str) -> None:
-        """Stop a retired variant's worker and drop its slot."""
+    def park(self, variant_id: str) -> None:
+        """Stop the live worker of a variant the monitor unbound.
+
+        The slot stays, with no worker and no restart due, so
+        :meth:`restart_now` can refill it.  A worker that already died
+        is left to the death path (incident, budgeted restart).
+        """
         with self._lock:
-            slot = self._slots.pop(variant_id, None)
-            if slot is not None:
+            slot = self._slots.get(variant_id)
+            if slot is not None and slot.worker is not None and slot.worker.is_alive():
                 self._stop_worker(slot, self.policy.graceful_timeout_s)
 
     def _stop_worker(self, slot: _Slot, timeout: float) -> None:
@@ -284,12 +294,6 @@ class ClusterSupervisor:
         with self._lock:
             return [vid for vid, slot in self._slots.items() if slot.abandoned]
 
-    def dispatcher(self, **kwargs):
-        """A :class:`~repro.cluster.dispatch.ProcessDispatcher` over this fleet."""
-        from repro.cluster.dispatch import ProcessDispatcher
-
-        return ProcessDispatcher(self, **kwargs)
-
     # ------------------------------------------------------------------
     # Supervision loop
     # ------------------------------------------------------------------
@@ -305,13 +309,13 @@ class ClusterSupervisor:
     def poll(self) -> None:
         """One supervision tick: liveness, gauges, due restarts.
 
-        Also called synchronously by the dispatcher after each stage so
-        a worker that died mid-batch is restarted without waiting for
-        the next heartbeat tick.  Safe for any number of concurrent
-        callers (the serving engine overlaps batches, so several
-        dispatchers may tick at once): a tick that finds another one in
-        progress simply yields to it -- supervision work is idempotent
-        and the in-flight tick covers the whole fleet.
+        Also called by the transport the moment an exchange finds its
+        worker dead, so a worker lost mid-batch is reported and its
+        restart scheduled without waiting for the next heartbeat tick.
+        Safe for any number of concurrent callers (several round trips
+        may fail at once): a tick that finds another one in progress
+        simply yields to it -- supervision work is idempotent and the
+        in-flight tick covers the whole fleet.
         """
         if not self._lock.acquire(blocking=False):
             return

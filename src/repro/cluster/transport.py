@@ -13,19 +13,25 @@ needs both channel ends in one address space).  Once the cluster
 supervisor forks a worker for a host, the route is *promoted*: every
 later exchange goes through the worker's pipe.  A dead worker demotes
 back to no-route, marks the parent-side host crashed (terminating its
-enclave so EPC accounting stays truthful) and raises the same typed
+enclave so EPC accounting stays truthful), has the supervisor handle
+the death at once, and raises the same typed
 :class:`~repro.mvx.variant_host.VariantUnavailable` the monitor already
-handles for crashed TEEs.
+handles for crashed TEEs.  Unregistering a variant the monitor retired
+drops its route and host and has the supervisor stop its live worker.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 from repro.cluster.worker import WorkerCrashed, WorkerProcess
 from repro.mvx.transport import record_exchange
 from repro.mvx.variant_host import VariantHost, VariantUnavailable
 from repro.observability.metrics import MetricsRegistry
+
+if TYPE_CHECKING:
+    from repro.cluster.supervisor import ClusterSupervisor
 
 __all__ = ["ProcessTransport"]
 
@@ -37,10 +43,20 @@ class ProcessTransport:
     hosts: dict[str, VariantHost] = field(default_factory=dict)
     workers: dict[str, WorkerProcess] = field(default_factory=dict)
     metrics: MetricsRegistry | None = None
+    #: The :class:`~repro.cluster.supervisor.ClusterSupervisor` owning
+    #: the workers (it sets itself here).
+    supervisor: "ClusterSupervisor | None" = None
 
     def register(self, host: VariantHost) -> None:
         """Attach a placed host (direct route until a worker is forked)."""
         self.hosts[host.variant_id] = host
+
+    def unregister(self, variant_id: str) -> None:
+        """Drop a retired variant's route and host; stop its live worker."""
+        self.hosts.pop(variant_id, None)
+        if self.supervisor is not None:
+            self.supervisor.park(variant_id)
+        self.demote(variant_id)
 
     def promote(self, worker: WorkerProcess) -> None:
         """Route a variant's records through its forked worker."""
@@ -59,6 +75,13 @@ class ProcessTransport:
         except WorkerCrashed as exc:
             self._mark_dead(worker, str(exc))
             record_exchange(self.metrics, "process", record, None, outcome="error")
+            if self.supervisor is not None:
+                try:
+                    # Report the death and schedule the restart now,
+                    # not at the next heartbeat tick.
+                    self.supervisor.poll()
+                except Exception:
+                    pass  # the heartbeat retries; the crash still surfaces
             raise
         except VariantUnavailable:
             record_exchange(self.metrics, "process", record, None, outcome="error")

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import secrets
 import threading
+from contextlib import contextmanager
 from dataclasses import dataclass, field
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,7 +39,7 @@ from repro.observability.recorder import (
     KIND_VARIANT_REPLACED,
     FlightRecorder,
 )
-from repro.observability.tracing import NullTracer, Tracer
+from repro.observability.tracing import NullTracer, Span, Tracer
 from repro.partition.partition import PartitionSet
 from repro.mvx.transport import Transport
 from repro.tee.attestation import AttestationError, Verifier
@@ -45,11 +47,22 @@ from repro.tee.channel import ChannelError, SecureChannel, establish_channel
 from repro.tee.enclave import Enclave
 from repro.variants.pool import VariantPool
 
+if TYPE_CHECKING:
+    from repro.serving.executor import ParallelStageExecutor
+
 __all__ = ["Monitor", "MonitorError", "VariantConnection"]
 
 
 class MonitorError(Exception):
     """Raised on protocol violations or unrecoverable detection outcomes."""
+
+
+def _new_executor() -> ParallelStageExecutor:
+    # Imported here: repro.serving imports the scheduler, which imports
+    # this module.
+    from repro.serving.executor import shared_executor
+
+    return shared_executor()
 
 
 @dataclass
@@ -119,13 +132,9 @@ class Monitor:
     #: Guards shared mutable detection state (events, deferred checks,
     #: connection lists) against concurrent replica dispatch threads.
     _state_lock: threading.Lock = field(default_factory=threading.Lock, repr=False)
-    #: Per-thread run-scoped replica dispatcher: an object with
-    #: ``dispatch(monitor, connections, batch_id, feeds) -> list[VariantOutput]``
-    #: (e.g. :class:`repro.serving.executor.ParallelStageExecutor`).
-    #: The scheduler installs a run's dispatcher here so overlapping
-    #: runs on different engine worker threads each see their own
-    #: per-batch deadline view; without one, replicas run serially.
-    _tls: threading.local = field(default_factory=threading.local, repr=False)
+    #: The concurrent dispatcher every round trip goes through
+    #: (:meth:`_dispatch`): by default the process-wide one.
+    _executor: ParallelStageExecutor = field(default_factory=_new_executor, repr=False)
     #: Refcounted install/restore of run-scoped sinks (config, tracer,
     #: metrics, recorder): the first concurrent run installs, the last
     #: restores.  Managed by :func:`repro.mvx.scheduler.run`.
@@ -394,6 +403,7 @@ class Monitor:
         batch_id: int,
         index: int,
         feeds: dict[str, np.ndarray],
+        deadline: float | None = None,
     ) -> dict[str, np.ndarray]:
         """Run one pipeline stage for one batch through its variants.
 
@@ -401,26 +411,29 @@ class Monitor:
         replicate the input to all variants, synchronize at the
         checkpoint, evaluate consistency, vote, respond to dissent.
         Async mode: proceed on majority quorum, cross-validate laggards
-        at the next checkpoint.
+        at the next checkpoint.  ``deadline`` (absolute
+        :func:`time.monotonic`, None = unbounded) bounds every round
+        trip the stage makes; past it the stage raises
+        :class:`~repro.serving.errors.DeadlineExceeded`.
         """
         if self.config is None:
             raise MonitorError("no MVX configuration provisioned")
-        self._resolve_deferred(upto_partition=index, batch_id=batch_id)
+        self._resolve_deferred(deadline)
         connections = self.stage_connections(index)
         if not connections:
             raise MonitorError(f"no live variants remain for partition {index}")
         if not self.config.uses_slow_path(index) or len(connections) == 1:
-            return self._fast_path(batch_id, index, connections, feeds)
+            return self._fast_path(batch_id, index, connections, feeds, deadline)
         if self.config.execution_mode == "async" and len(connections) >= 3:
-            return self._slow_path_async(batch_id, index, connections, feeds)
-        return self._slow_path_sync(batch_id, index, connections, feeds)
+            return self._slow_path_async(batch_id, index, connections, feeds, deadline)
+        outputs = self._dispatch(connections, batch_id, feeds, deadline)
+        return self._evaluate_checkpoint(
+            batch_id, index, connections, outputs, feeds, deadline
+        )
 
-    def _fast_path(self, batch_id, index, connections, feeds):
+    def _fast_path(self, batch_id, index, connections, feeds, deadline):
         connection = connections[0]
-        # Single-replica stages go through the run's dispatcher too: its
-        # deadline enforcement and retry-once semantics must cover the
-        # fast path, or a 1-replica stage could run unbounded.
-        (result,) = self._dispatch([connection], batch_id, feeds)
+        (result,) = self._dispatch([connection], batch_id, feeds, deadline)
         if result.outputs is None:
             self._record_crash(batch_id, index, connection, result.error)
             raise MonitorError(
@@ -428,47 +441,69 @@ class Monitor:
             )
         return result.outputs
 
-    def _slow_path_sync(self, batch_id, index, connections, feeds):
-        outputs = self._dispatch(connections, batch_id, feeds)
-        return self._evaluate_checkpoint(batch_id, index, connections, outputs, feeds)
+    def _dispatch(self, connections, batch_id, feeds, deadline) -> list[VariantOutput]:
+        """Send one request to every connection: the only round-trip path.
 
-    def _dispatch(self, connections, batch_id, feeds) -> list[VariantOutput]:
-        """Send one request to every connection (via the run's dispatcher)."""
-        dispatcher = getattr(self._tls, "dispatcher", None)
-        if dispatcher is not None:
-            return dispatcher.dispatch(self, connections, batch_id, feeds)
-        return [self.request_inference(c, batch_id, feeds) for c in connections]
+        Concurrent, results in connection order, one retry on a
+        transient fault, ``DeadlineExceeded`` at ``deadline``.
+        """
+        return self._executor.dispatch(
+            self, connections, batch_id, feeds, deadline=deadline
+        )
 
-    def _slow_path_async(self, batch_id, index, connections, feeds):
+    @contextmanager
+    def _checkpoint(self, batch_id, index, mode, **attributes):
+        """One checkpoint evaluation: span, counter and audit entry.
+
+        The body adds its outcome fields to the yielded dict; they land
+        on the ``checkpoint`` span and in the ``KIND_CHECKPOINT`` entry.
+        A body that raises is neither counted nor audited.
+        """
+        outcome: dict = {}
+        with self.tracer.span(
+            "checkpoint", partition=index, batch=batch_id, mode=mode, **attributes
+        ) as span:
+            yield outcome
+            for key, value in outcome.items():
+                span.set_attribute(key, value)
+        self.metrics_registry.counter(
+            "mvtee_checkpoints_total", "Checkpoint consistency evaluations"
+        ).inc(partition=index, mode=mode)
+        self._audit(
+            KIND_CHECKPOINT,
+            batch=batch_id,
+            partition=index,
+            mode=mode,
+            **attributes,
+            **outcome,
+        )
+
+    def _vote(self, batch_id, index, outputs, *, mode, strategy) -> VoteResult:
+        with self._checkpoint(batch_id, index, mode) as outcome:
+            result = vote(outputs, policy=self.policy_for(index), strategy=strategy)
+            outcome.update(
+                passed=result.passed,
+                dissenting=list(result.dissenting),
+                crashed=list(result.crashed),
+            )
+        return result
+
+    def _slow_path_async(self, batch_id, index, connections, feeds, deadline):
         # Query in ascending simulated latency: the quorum of fastest
         # variants decides; laggards are validated at the next checkpoint.
         ordered = sorted(connections, key=lambda c: c.host.simulated_latency)
         quorum = len(connections) // 2 + 1
         quorum_conns = ordered[:quorum]
         laggards = ordered[quorum:]
-        early = [self.request_inference(c, batch_id, feeds) for c in quorum_conns]
-        with self.tracer.span(
-            "checkpoint", partition=index, batch=batch_id, mode="async-quorum"
-        ) as span:
-            result = vote(early, policy=self.policy_for(index), strategy="majority")
-            span.set_attribute("passed", result.passed)
-        self.metrics_registry.counter(
-            "mvtee_checkpoints_total", "Checkpoint consistency evaluations"
-        ).inc(partition=index, mode="async-quorum")
-        self._audit(
-            KIND_CHECKPOINT,
-            batch=batch_id,
-            partition=index,
-            mode="async-quorum",
-            passed=result.passed,
-            dissenting=list(result.dissenting),
-            crashed=list(result.crashed),
+        early = self._dispatch(quorum_conns, batch_id, feeds, deadline)
+        result = self._vote(
+            batch_id, index, early, mode="async-quorum", strategy="majority"
         )
         if not result.passed:
             # No early consensus: fall back to full synchronization.
-            late = [self.request_inference(c, batch_id, feeds) for c in laggards]
+            late = self._dispatch(laggards, batch_id, feeds, deadline)
             return self._evaluate_checkpoint(
-                batch_id, index, quorum_conns + laggards, early + late, feeds
+                batch_id, index, quorum_conns + laggards, early + late, feeds, deadline
             )
         self._handle_vote_outcome(
             batch_id, index, quorum_conns, result, async_stage=True, outputs=early
@@ -480,28 +515,28 @@ class Monitor:
                 )
         return result.accepted
 
-    def _resolve_deferred(self, *, upto_partition: int, batch_id: int) -> None:
+    def _resolve_deferred(self, deadline) -> None:
         """Cross-validate laggard results before the pipeline advances.
 
         "When results from delayed variants are received, and if any
         dissent is noted, we react to the execution at the earliest next
-        checkpoint."
+        checkpoint."  Checks whose round trips did not complete (a
+        missed deadline) stay queued for the next checkpoint.
         """
         if not self._deferred:
             return
         with self._state_lock:
             pending = self._deferred
             self._deferred = []
-        for d_batch, d_index, accepted, laggards, feeds in pending:
-            with self.tracer.span(
-                "checkpoint",
-                partition=d_index,
-                batch=d_batch,
-                mode="deferred",
-                laggards=len(laggards),
-            ):
-                for connection in laggards:
-                    result = self.request_inference(connection, d_batch, feeds)
+        for position, (d_batch, d_index, accepted, laggards, feeds) in enumerate(pending):
+            with self._checkpoint(d_batch, d_index, "deferred", laggards=len(laggards)):
+                try:
+                    results = self._dispatch(laggards, d_batch, feeds, deadline)
+                except Exception:
+                    with self._state_lock:
+                        self._deferred[:0] = pending[position:]
+                    raise
+                for connection, result in zip(laggards, results):
                     if result.outputs is None:
                         self._record_crash(d_batch, d_index, connection, result.error)
                         self._respond(connection, d_batch, d_index)
@@ -536,36 +571,45 @@ class Monitor:
                             )
                         )
                         self._respond(connection, d_batch, d_index)
-            self.metrics_registry.counter(
-                "mvtee_checkpoints_total", "Checkpoint consistency evaluations"
-            ).inc(partition=d_index, mode="deferred")
-            self._audit(
-                KIND_CHECKPOINT,
-                batch=d_batch,
-                partition=d_index,
-                mode="deferred",
-                laggards=len(laggards),
-            )
 
     def request_inference(
-        self, connection: VariantConnection, batch_id: int, feeds: dict
+        self,
+        connection: VariantConnection,
+        batch_id: int,
+        feeds: dict,
+        *,
+        parent: Span | None = None,
     ) -> VariantOutput:
         """One monitor->variant round trip (spans + metrics included).
 
-        The building block pluggable dispatchers compose: safe to call
-        from worker threads -- the span, counter and detection-state
-        paths it touches are lock- or GIL-protected.
+        The unit :meth:`_dispatch` fans out; it runs on dispatch pool
+        threads, so its ``variant`` span attaches to ``parent`` (the
+        dispatching thread's open span).  The span, counter and
+        detection-state paths it touches are lock- or GIL-protected.
         """
         with self.tracer.span(
             "variant",
+            parent=parent,
             variant=connection.variant_id,
             partition=connection.partition_index,
             batch=batch_id,
         ) as span:
-            result = self._request_inference_unobserved(connection, batch_id, feeds)
-            span.set_attribute("bytes_protected", connection.channel.bytes_protected)
-            if result.outputs is None:
+            try:
+                msg_type, meta, tensors = connection.request(
+                    "infer", {"batch_id": batch_id}, feeds
+                )
+            except (VariantUnavailable, ChannelError) as exc:
+                msg_type, meta = "error", {"reason": str(exc)}
+            if msg_type == "result":
+                result = VariantOutput(variant_id=connection.variant_id, outputs=tensors)
+            else:
+                result = VariantOutput(
+                    variant_id=connection.variant_id,
+                    outputs=None,
+                    error=str(meta.get("reason", msg_type)),
+                )
                 span.record_error(result.error)
+            span.set_attribute("bytes_protected", connection.channel.bytes_protected)
         self.metrics_registry.counter(
             "mvtee_variant_requests_total", "Monitor->variant inference round trips"
         ).inc(
@@ -574,48 +618,11 @@ class Monitor:
         )
         return result
 
-    def _request_inference_unobserved(
-        self, connection: VariantConnection, batch_id: int, feeds: dict
-    ) -> VariantOutput:
-        try:
-            msg_type, meta, tensors = connection.request(
-                "infer", {"batch_id": batch_id}, feeds
-            )
-        except (VariantUnavailable, ChannelError) as exc:
-            return VariantOutput(
-                variant_id=connection.variant_id, outputs=None, error=str(exc)
-            )
-        if msg_type != "result":
-            return VariantOutput(
-                variant_id=connection.variant_id,
-                outputs=None,
-                error=str(meta.get("reason", msg_type)),
-            )
-        return VariantOutput(variant_id=connection.variant_id, outputs=tensors)
-
-    def _evaluate_checkpoint(self, batch_id, index, connections, outputs, feeds) -> dict:
-        with self.tracer.span(
-            "checkpoint",
-            partition=index,
-            batch=batch_id,
-            mode="sync",
-            voting=self.config.voting,
-        ) as span:
-            result = vote(outputs, policy=self.policy_for(index), strategy=self.config.voting)
-            span.set_attribute("passed", result.passed)
-            if result.dissenting:
-                span.set_attribute("dissenting", list(result.dissenting))
-        self.metrics_registry.counter(
-            "mvtee_checkpoints_total", "Checkpoint consistency evaluations"
-        ).inc(partition=index, mode="sync")
-        self._audit(
-            KIND_CHECKPOINT,
-            batch=batch_id,
-            partition=index,
-            mode="sync",
-            passed=result.passed,
-            dissenting=list(result.dissenting),
-            crashed=list(result.crashed),
+    def _evaluate_checkpoint(
+        self, batch_id, index, connections, outputs, feeds, deadline
+    ) -> dict:
+        result = self._vote(
+            batch_id, index, outputs, mode="sync", strategy=self.config.voting
         )
         self._handle_vote_outcome(
             batch_id, index, connections, result, async_stage=False, outputs=outputs
@@ -628,9 +635,7 @@ class Monitor:
             # dissenters were dropped by _handle_vote_outcome above.
             survivors = self.stage_connections(index)
             if survivors:
-                retries = [
-                    self.request_inference(c, batch_id, feeds) for c in survivors
-                ]
+                retries = self._dispatch(survivors, batch_id, feeds, deadline)
                 retry = vote(retries, policy=self.policy_for(index), strategy=self.config.voting)
                 if retry.accepted is not None:
                     return retry.accepted
@@ -768,8 +773,16 @@ class Monitor:
         self._unbind(connection)
 
     def _unbind(self, connection: VariantConnection) -> None:
-        """Terminate one variant's TEE, log its retirement, drop its route."""
+        """Terminate one variant's TEE, log its retirement, drop its route.
+
+        Every retirement comes through here (protective responses,
+        updates, scale-down, restarts), so the transport drops the
+        variant's route and host here too -- in process mode that also
+        stops the variant's live worker.
+        """
         connection.host.terminate()
+        if self.transport is not None:
+            self.transport.unregister(connection.variant_id)
         index = connection.partition_index
         self.ledger.append(
             variant_id=connection.variant_id,

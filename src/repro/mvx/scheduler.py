@@ -74,11 +74,10 @@ class InferenceOptions:
     flight recorder); unset sinks fall back to the monitor's tracer,
     the process-wide registry and the deployment's recorder.
 
-    ``dispatcher`` installs a replica dispatcher on the monitor for the
-    duration of the run -- an object with
-    ``dispatch(monitor, connections, batch_id, feeds)`` such as
-    :class:`repro.serving.executor.ParallelStageExecutor`, which runs
-    the variant replicas of a stage concurrently.
+    ``deadline`` bounds the run: an absolute :func:`time.monotonic`
+    value (None = unbounded) that every variant round trip honours;
+    past it the run raises
+    :class:`~repro.serving.errors.DeadlineExceeded`.
 
     ``sinks.recorder`` installs a tamper-evident flight recorder on the
     monitor for the duration of the run; ``None`` keeps whatever
@@ -96,7 +95,7 @@ class InferenceOptions:
     mode: ExecutionMode | None = None
     path_mode: PathMode | None = None
     sinks: Sinks = field(default_factory=Sinks)
-    dispatcher: object | None = None
+    deadline: float | None = None
     batch_id_base: int = 0
 
 
@@ -152,6 +151,7 @@ def _stage_once(
     tracer: Tracer,
     registry: MetricsRegistry,
     batch_span: Span | None,
+    deadline: float | None,
 ) -> None:
     partition_set = monitor.partition_set
     feeds = partition_set.stage_feeds(index, env)
@@ -159,7 +159,7 @@ def _stage_once(
         "stage", parent=batch_span, partition=index, batch=batch_id
     ) as span:
         start = time.perf_counter()
-        outputs = monitor.execute_stage(batch_id, index, feeds)
+        outputs = monitor.execute_stage(batch_id, index, feeds, deadline)
         elapsed = time.perf_counter() - start
     env.update(outputs)
     stats.stage_executions += 1
@@ -183,21 +183,15 @@ def _install_run_options(
     options: InferenceOptions,
     tracer: Tracer,
     registry: MetricsRegistry,
-):
-    """Install run-scoped options on the monitor; returns restore state.
+) -> None:
+    """Install run-scoped options on the monitor (refcounted).
 
-    The dispatcher goes into the monitor's *thread-local* slot: each
-    overlapping run executes on its own thread and carries its own
-    per-batch deadline view.  The shared sinks (config overrides,
-    tracer, metrics, recorder) are refcounted -- the first concurrent
-    run installs them, the last restores the provisioned values.
+    The first concurrent run installs the config overrides, tracer,
+    metrics and recorder; the last restores the provisioned values.
     Overlapping runs are expected to pass identical sink options (the
     serving engine does); a run that joins with *different* sinks keeps
     the first run's installation until the monitor goes idle.
     """
-    prev_dispatcher = getattr(monitor._tls, "dispatcher", None)
-    if options.dispatcher is not None:
-        monitor._tls.dispatcher = options.dispatcher
     with monitor._run_lock:
         monitor._run_refs += 1
         if monitor._run_refs == 1:
@@ -217,14 +211,9 @@ def _install_run_options(
             monitor.tracer, monitor.metrics = tracer, registry
             if options.sinks.recorder is not None:
                 monitor.recorder = options.sinks.recorder
-    return prev_dispatcher
 
 
-def _restore_run_options(
-    monitor: Monitor, options: InferenceOptions, prev_dispatcher
-) -> None:
-    if options.dispatcher is not None:
-        monitor._tls.dispatcher = prev_dispatcher
+def _restore_run_options(monitor: Monitor) -> None:
     with monitor._run_lock:
         monitor._run_refs -= 1
         if monitor._run_refs == 0:
@@ -250,8 +239,8 @@ def run(
     of the run, and emits the full span tree and stage metrics.
 
     Safe to call concurrently from several threads against one monitor
-    (the serving engine overlaps batches this way): the dispatcher is
-    installed per thread, the remaining option sinks via refcounted
+    (the serving engine overlaps batches this way): the deadline travels
+    with each stage call, the option sinks are installed via refcounted
     install/restore, and ``options.batch_id_base`` keeps monitor-facing
     batch ids disjoint across overlapping runs.
     """
@@ -261,7 +250,7 @@ def run(
     sinks = options.sinks
     tracer = sinks.tracer if sinks.tracer is not None else monitor.tracer
     registry = sinks.metrics if sinks.metrics is not None else monitor.metrics_registry
-    prev_dispatcher = _install_run_options(monitor, options, tracer, registry)
+    _install_run_options(monitor, options, tracer, registry)
     try:
         stats = RunStats()
         config = monitor.config
@@ -274,19 +263,17 @@ def run(
         ) as root:
             if options.scheduling is SchedulingMode.PIPELINED:
                 results = _run_pipelined(
-                    monitor, batches, stats, tracer, registry, root,
-                    options.batch_id_base,
+                    monitor, batches, stats, tracer, registry, root, options
                 )
             else:
                 results = _run_sequential(
-                    monitor, batches, stats, tracer, registry, root,
-                    options.batch_id_base,
+                    monitor, batches, stats, tracer, registry, root, options
                 )
         stats.divergences = len(monitor.divergence_events())
         stats.crashes = len(monitor.crash_events())
         return results, stats
     finally:
-        _restore_run_options(monitor, options, prev_dispatcher)
+        _restore_run_options(monitor)
 
 
 def _run_sequential(
@@ -296,18 +283,19 @@ def _run_sequential(
     tracer: Tracer,
     registry: MetricsRegistry,
     root: Span,
-    base: int = 0,
+    options: InferenceOptions,
 ) -> list[dict[str, np.ndarray]]:
     results = []
     num_stages = len(monitor.partition_set)
     batch_counter = registry.counter("mvtee_batches_total", "Batches completed")
     for local_id, feeds in enumerate(batches):
-        batch_id = base + local_id
+        batch_id = options.batch_id_base + local_id
         env = dict(feeds)
         with tracer.span("batch", parent=root, batch=batch_id) as batch_span:
             for index in range(num_stages):
                 _stage_once(
-                    monitor, env, batch_id, index, stats, tracer, registry, batch_span
+                    monitor, env, batch_id, index, stats, tracer, registry,
+                    batch_span, options.deadline,
                 )
         results.append(_finalize(monitor, env))
         stats.batches += 1
@@ -322,7 +310,7 @@ def _run_pipelined(
     tracer: Tracer,
     registry: MetricsRegistry,
     root: Span,
-    base: int = 0,
+    options: InferenceOptions,
 ) -> list[dict[str, np.ndarray]]:
     """Overlapping pipeline: at tick ``t``, stage ``i`` handles batch ``t-i``.
 
@@ -345,7 +333,7 @@ def _run_pipelined(
             local_id = tick - index
             if not 0 <= local_id < len(batches):
                 continue
-            batch_id = base + local_id
+            batch_id = options.batch_id_base + local_id
             if index == 0:
                 envs[local_id] = dict(batches[local_id])
                 spans[local_id] = tracer.start_span(
@@ -353,7 +341,8 @@ def _run_pipelined(
                 )
             env = envs[local_id]
             _stage_once(
-                monitor, env, batch_id, index, stats, tracer, registry, spans[local_id]
+                monitor, env, batch_id, index, stats, tracer, registry,
+                spans[local_id], options.deadline,
             )
             if index == num_stages - 1:
                 results[local_id] = _finalize(monitor, env)

@@ -302,8 +302,6 @@ class InferenceService:
         max_batch_size: int = 8,
         max_wait_s: float = 0.002,
         deadline_s: float | None = None,
-        parallel_variants: bool = True,
-        max_workers: int = 8,
     ):
         """Serve concurrently through a :class:`repro.serving.ServingEngine`.
 
@@ -326,8 +324,6 @@ class InferenceService:
                 max_batch_size=max_batch_size,
                 max_wait_s=max_wait_s,
                 default_deadline_s=deadline_s,
-                parallel_variants=parallel_variants,
-                max_workers=max_workers,
             ),
             sinks=Sinks(
                 tracer=self.tracer,

@@ -226,16 +226,10 @@ class MvteeSystem:
         artifacts = self._fresh_artifacts(
             partition_index, claim.num_variants, seed, f"p{partition_index}u{seed}"
         )
-        retired = [
-            c.variant_id for c in self.monitor.connections.get(partition_index, ())
-        ]
         new_hosts = partial_update(
             self.monitor, self.orchestrator, partition_index, artifacts
         )
         self._adopt(partition_index, new_hosts)
-        if self.cluster is not None:
-            for variant_id in retired:
-                self.cluster.release(variant_id)
 
     def scale_up(self, partition_index: int, extra: int, *, seed: int = 2) -> None:
         """Horizontal scaling: add ``extra`` variants to one partition."""

@@ -51,6 +51,8 @@ class Transport(Protocol):
 
     def register(self, host: VariantHost) -> None: ...
 
+    def unregister(self, variant_id: str) -> None: ...
+
 
 @dataclass
 class DirectTransport:
@@ -62,6 +64,10 @@ class DirectTransport:
     def register(self, host: VariantHost) -> None:
         """Attach a placed variant host."""
         self.hosts[host.variant_id] = host
+
+    def unregister(self, variant_id: str) -> None:
+        """Detach a retired variant host."""
+        self.hosts.pop(variant_id, None)
 
     def exchange(self, variant_id: str, record: bytes) -> bytes:
         host = self.hosts.get(variant_id)
@@ -96,6 +102,11 @@ class FabricTransport:
         """Attach a placed variant host behind its own endpoint."""
         self.hosts[host.variant_id] = host
         self.fabric.register(self._endpoint(host.variant_id))
+
+    def unregister(self, variant_id: str) -> None:
+        """Detach a retired variant host and close its endpoint."""
+        self.hosts.pop(variant_id, None)
+        self.fabric.unregister(self._endpoint(variant_id))
 
     @staticmethod
     def _endpoint(variant_id: str) -> str:

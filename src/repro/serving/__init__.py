@@ -14,12 +14,12 @@ serving layer that makes that real under load.  A request travels
   queued requests under a ``max_batch_size`` / ``max_wait_s`` policy
   before handing them to :meth:`MvteeSystem.infer_batches`, amortizing
   per-request orchestration overhead.
-- :mod:`repro.serving.executor` -- :class:`ParallelStageExecutor`, a
-  persistent thread pool that dispatches the variant replicas of a stage
-  concurrently (numpy kernels release the GIL, so replicated variants
-  genuinely overlap), with per-batch deadlines (carried by
-  :class:`BoundDispatcher` views, so the executor is re-entrant) and
-  retry-once on transient variant faults.
+- :mod:`repro.serving.executor` -- :class:`ParallelStageExecutor`, the
+  persistent thread pool through which the monitor sends every variant
+  round trip: the replicas of a stage run concurrently (numpy kernels
+  release the GIL, so replicated variants genuinely overlap), each call
+  carries its batch deadline, and a transient variant fault is retried
+  once.
 - :mod:`repro.serving.engine` -- :class:`ServingEngine` tying the three
   together behind ``submit() -> Ticket`` with a pool of
   ``ServingPolicy.num_workers`` worker threads overlapping that many
@@ -43,7 +43,7 @@ from repro.serving.errors import (
     Overloaded,
     ServingError,
 )
-from repro.serving.executor import BoundDispatcher, ParallelStageExecutor
+from repro.serving.executor import ParallelStageExecutor
 from repro.serving.loadgen import (
     ClosedLoopLoadGenerator,
     LoadReport,
@@ -57,7 +57,6 @@ from repro.serving.loadgen import (
 __all__ = [
     "AdmissionQueue",
     "BatchPolicy",
-    "BoundDispatcher",
     "ClosedLoopLoadGenerator",
     "DeadlineExceeded",
     "EngineStopped",

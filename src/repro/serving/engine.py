@@ -8,13 +8,11 @@ admitted requests into micro-batches and drives them through
 :meth:`MvteeSystem.infer_batches` with up to ``num_workers`` batches in
 flight at once -- a slow batch no longer serializes the queue behind it
 (the paper's §4.3 pipelined execution model, applied across batches
-instead of within one).  The variant replicas of each stage are
-dispatched in parallel by a shared
-:class:`~repro.serving.executor.ParallelStageExecutor`; each in-flight
-batch carries its own deadline via a per-batch
-:class:`~repro.serving.executor.BoundDispatcher` view and its own
-disjoint monitor-facing batch-id range via
-``InferenceOptions.batch_id_base``.
+instead of within one).  Each in-flight batch carries its own deadline
+(``InferenceOptions.deadline``, the tightest of its requests) and its
+own disjoint monitor-facing batch-id range
+(``InferenceOptions.batch_id_base``); the monitor fans the replicas of
+every stage out concurrently under that deadline.
 
 Failure semantics per batch:
 
@@ -58,7 +56,6 @@ from repro.observability.sinks import Sinks
 from repro.serving.admission import AdmissionQueue
 from repro.serving.batching import BatchPolicy, MicroBatcher
 from repro.serving.errors import DeadlineExceeded, EngineStopped, Overloaded
-from repro.serving.executor import ParallelStageExecutor
 
 __all__ = ["ServingEngine", "ServingPolicy", "Ticket", "TicketState"]
 
@@ -75,11 +72,6 @@ class ServingPolicy:
     #: Deadline applied to requests that do not carry their own (None =
     #: unbounded).
     default_deadline_s: float | None = None
-    #: Dispatch variant replicas concurrently (ParallelStageExecutor).
-    parallel_variants: bool = True
-    max_workers: int = 8
-    #: Retry one variant round trip once on a transient fault.
-    retry_transient: bool = True
     #: Scheduling of the micro-batch through the pipeline stages.
     scheduling: SchedulingMode = SchedulingMode.PIPELINED
     #: Engine worker threads, i.e. micro-batches in flight at once.
@@ -99,8 +91,6 @@ class ServingPolicy:
             )
         if self.max_wait_s < 0:
             raise ValueError(f"max_wait_s must be >= 0, got {self.max_wait_s}")
-        if self.max_workers < 1:
-            raise ValueError(f"max_workers must be >= 1, got {self.max_workers}")
         if self.num_workers < 1:
             raise ValueError(f"num_workers must be >= 1, got {self.num_workers}")
 
@@ -254,24 +244,6 @@ class ServingEngine:
             registry=self.registry,
             clock=clock,
         )
-        # Process-mode deployments get the cluster-aware dispatcher so a
-        # worker lost mid-batch is restarted promptly; same contract,
-        # same retry/deadline semantics.
-        cluster = getattr(system, "cluster", None)
-        if not self.policy.parallel_variants:
-            self._executor = None
-        elif cluster is not None:
-            self._executor = cluster.dispatcher(
-                max_workers=self.policy.max_workers,
-                retry_transient=self.policy.retry_transient,
-                clock=clock,
-            )
-        else:
-            self._executor = ParallelStageExecutor(
-                self.policy.max_workers,
-                retry_transient=self.policy.retry_transient,
-                clock=clock,
-            )
         self._ids = itertools.count()
         #: Worker threads by pool index; indexes at or past
         #: ``_target_workers`` retire themselves (resize-down).
@@ -430,8 +402,7 @@ class ServingEngine:
         worker died -- is failed with :class:`EngineStopped` so callers
         blocked in :meth:`Ticket.result` always get an outcome.  A
         worker that outlives ``timeout`` keeps its thread handle (a
-        later :meth:`stop` can re-join it); the shared executor is only
-        torn down once every worker has exited.
+        later :meth:`stop` can re-join it).
         """
         self._stopping.set()
         self._queue.close()
@@ -452,8 +423,6 @@ class ServingEngine:
                 still_alive[index] = worker
         self._workers = still_alive
         self._fail_pending()
-        if not still_alive and self._executor is not None:
-            self._executor.shutdown()
 
     def _fail_pending(self) -> None:
         """Fail every ticket still sitting in the closed queue."""
@@ -550,7 +519,6 @@ class ServingEngine:
         if not live:
             return
         deadlines = [t.deadline for t in live if t.deadline is not None]
-        deadline = min(deadlines) if deadlines else None
         options = InferenceOptions(
             scheduling=self.policy.scheduling,
             sinks=Sinks(
@@ -558,11 +526,12 @@ class ServingEngine:
                 metrics=self.registry,
                 recorder=self.recorder,
             ),
-            # A per-batch view of the shared executor: the deadline
-            # travels with the dispatch calls, never through shared
-            # executor state, so overlapping batches cannot race.
-            dispatcher=(
-                self._executor.bind(deadline) if self._executor is not None else None
+            # The tightest request sets the batch budget, handed over on
+            # the monotonic clock whatever clock the engine reads.
+            deadline=(
+                time.monotonic() + (min(deadlines) - self._clock())
+                if deadlines
+                else None
             ),
             batch_id_base=self._allocate_batch_ids(len(live)),
         )
@@ -587,7 +556,7 @@ class ServingEngine:
             return
         except Exception as exc:
             # Anything else escaping the run (a crash outliving retry, a
-            # shape bug, a broken dispatcher) must fail *this batch
+            # shape bug, a broken dispatch) must fail *this batch
             # only* -- letting it propagate would kill the worker thread
             # silently and strand every later ticket behind a dead loop.
             self.registry.counter(

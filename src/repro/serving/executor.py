@@ -1,123 +1,94 @@
-"""True parallel variant execution for replicated stages.
+"""Concurrent monitor->variant dispatch: the one fan-out every stage uses.
 
-The monitor's default slow path queries the variant replicas of a stage
-one after another; with three replicas the checkpoint waits for the sum
-of three round trips.  :class:`ParallelStageExecutor` dispatches them
-concurrently on one persistent :class:`ThreadPoolExecutor` -- the numpy
-kernels inside the variant runtimes release the GIL, so the replicas
+The monitor sends a stage's input to every variant replica and then
+votes at the checkpoint (§4.3).  :class:`ParallelStageExecutor` runs
+those round trips concurrently on one persistent
+:class:`ThreadPoolExecutor` -- the numpy kernels inside the variant
+runtimes and the worker pipes release the GIL, so the replicas
 genuinely overlap and the checkpoint waits only for the slowest.
 
-The executor plugs into a run as its *dispatcher* (via
-:class:`~repro.mvx.scheduler.InferenceOptions`) and sits behind the
-scheduler's ``_stage_once`` contract: same feeds in, same
-:class:`~repro.mvx.voting.VariantOutput` list out, same span/metric
-emission -- only the wall clock differs.  On top of the
-parallelism it enforces a per-batch deadline (raising
-:class:`~repro.serving.errors.DeadlineExceeded` when a replica cannot
-answer in time) and retries one round trip once when a variant fails
-transiently -- the host is still alive, so a transport glitch or torn
-channel record should not cost the replica its vote.
+Every round trip of :class:`~repro.mvx.monitor.Monitor` goes through
+:meth:`ParallelStageExecutor.dispatch` (via ``Monitor._dispatch``):
+the fast path, the sync slow path, the async quorum and its fallback,
+deferred laggard checks and RESTART_BATCH retries.  Each gets the same
+rules: results in connection order, one retry when a variant fails
+transiently (the host is still alive, so a transport glitch or torn
+record should not cost the replica its vote), and
+:class:`~repro.serving.errors.DeadlineExceeded` once the batch deadline
+passes.  The deadline is an absolute :func:`time.monotonic` value that
+travels with each call, so any number of batches may be in flight
+through one executor at once.
 
-The executor is *re-entrant*: any number of batches may be in flight
-through one executor at once (the serving engine overlaps
-``ServingPolicy.num_workers`` of them).  The deadline therefore travels
-with each dispatch call -- either as the explicit ``deadline=``
-parameter or baked into the lightweight per-batch view returned by
-:meth:`ParallelStageExecutor.bind` -- never through shared mutable
-state.
+Monitors share :func:`shared_executor`.  Its threads start on demand,
+so a process holds as many as its peak number of concurrent round
+trips however many deployments it creates.  One pool per monitor was
+measured and dropped: the threads of deployments a process had already
+replaced lingered until garbage collection, and every worker forked
+afterwards inherited their memory (``bulk-process`` peak RSS +10%).
 """
 
 from __future__ import annotations
 
+import functools
+import os
 import time
 from concurrent.futures import ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeout
-from typing import Callable
 
 from repro.serving.errors import DeadlineExceeded
 
-__all__ = ["BoundDispatcher", "ParallelStageExecutor"]
+__all__ = ["POOL_SIZE", "ParallelStageExecutor", "shared_executor"]
 
-
-class BoundDispatcher:
-    """A per-batch view of one executor with a fixed deadline.
-
-    The engine creates one per micro-batch and installs it as the run's
-    dispatcher; all views share the underlying executor's thread pool,
-    so concurrent batches overlap without racing on a shared deadline
-    field.
-    """
-
-    __slots__ = ("executor", "deadline")
-
-    def __init__(self, executor: "ParallelStageExecutor", deadline: float | None):
-        self.executor = executor
-        self.deadline = deadline
-
-    def dispatch(self, monitor, connections, batch_id, feeds) -> list:
-        return self.executor.dispatch(
-            monitor, connections, batch_id, feeds, deadline=self.deadline
-        )
+#: Most threads one executor runs: every replica of several overlapping
+#: batches across a few deployments (a fleet) at once.
+POOL_SIZE = 32
 
 
 class ParallelStageExecutor:
-    """Concurrent monitor->variant dispatch with deadlines and one retry.
+    """Concurrent monitor->variant dispatch with deadlines and one retry."""
 
-    One executor serves one serving engine (or one benchmark loop): the
-    pool is persistent so per-batch thread startup never lands on the
-    latency path, and it is shared by every in-flight batch.  Deadlines
-    are per dispatch call (``dispatch(..., deadline=)`` or a
-    :meth:`bind` view).
-    """
-
-    def __init__(
-        self,
-        max_workers: int = 8,
-        *,
-        retry_transient: bool = True,
-        clock: Callable[[], float] = time.monotonic,
-    ):
+    def __init__(self):
         self._pool = ThreadPoolExecutor(
-            max_workers=max_workers, thread_name_prefix="mvtee-variant"
+            max_workers=POOL_SIZE, thread_name_prefix="mvtee-variant"
         )
-        self.retry_transient = retry_transient
-        self._clock = clock
-
-    def bind(self, deadline: float | None) -> BoundDispatcher:
-        """A dispatcher view of this executor with ``deadline`` attached."""
-        return BoundDispatcher(self, deadline)
-
-    # ------------------------------------------------------------------
-    # Dispatcher contract (Monitor._dispatch)
-    # ------------------------------------------------------------------
 
     def dispatch(
         self, monitor, connections, batch_id, feeds, *, deadline: float | None = None
     ) -> list:
         """Round-trip ``feeds`` to every connection concurrently.
 
-        Results come back in connection order, exactly like the serial
-        path, so voting sees an identical input either way.  The
-        deadline applies to every connection count -- a single-replica
-        stage goes through the same future-with-timeout path, so one
-        slow variant cannot blow through the batch budget unbounded.
+        Results come back in connection order, so voting sees the same
+        input whatever order the replicas finish in.  With a deadline
+        every round trip runs on the pool and is awaited with a
+        timeout, a single-replica stage included, so one slow variant
+        cannot blow through the batch budget.
         """
-        if len(connections) == 1 and deadline is None:
-            # Unbounded single replica: no timeout to enforce, so skip
-            # the pool hop entirely.
-            return [self._request(monitor, connections[0], batch_id, feeds, deadline)]
+        # Round trips on pool threads nest their spans under the
+        # caller's open span (the stage or checkpoint).
+        parent = monitor.tracer.current()
+        if deadline is None:
+            # No timeout to enforce: the calling thread takes the first
+            # replica itself instead of waiting idle.
+            futures = [
+                self._pool.submit(
+                    self._request, monitor, c, batch_id, feeds, None, parent
+                )
+                for c in connections[1:]
+            ]
+            first = self._request(monitor, connections[0], batch_id, feeds, None, parent)
+            return [first, *(future.result() for future in futures)]
         futures = [
-            self._pool.submit(self._request, monitor, c, batch_id, feeds, deadline)
+            self._pool.submit(
+                self._request, monitor, c, batch_id, feeds, deadline, parent
+            )
             for c in connections
         ]
         results = []
         for connection, future in zip(connections, futures):
-            if deadline is None:
-                results.append(future.result())
-                continue
-            remaining = deadline - self._clock()
             try:
-                results.append(future.result(timeout=max(0.0, remaining)))
+                results.append(
+                    future.result(timeout=max(0.0, deadline - time.monotonic()))
+                )
             except FutureTimeout:
                 raise DeadlineExceeded(
                     f"variant {connection.variant_id} missed the batch deadline "
@@ -125,13 +96,13 @@ class ParallelStageExecutor:
                 ) from None
         return results
 
-    def _request(self, monitor, connection, batch_id, feeds, deadline=None):
-        result = monitor.request_inference(connection, batch_id, feeds)
+    @staticmethod
+    def _request(monitor, connection, batch_id, feeds, deadline, parent):
+        result = monitor.request_inference(connection, batch_id, feeds, parent=parent)
         if (
             result.outputs is None
-            and self.retry_transient
             and not connection.host.crashed
-            and not self._past_deadline(deadline)
+            and (deadline is None or time.monotonic() < deadline)
         ):
             # Transient fault: the host is alive, so the failure came
             # from the path to it (transport glitch, torn record).  One
@@ -141,11 +112,8 @@ class ParallelStageExecutor:
                 "mvtee_dispatch_retries_total",
                 "Variant round trips retried after a transient fault",
             ).inc(partition=connection.partition_index)
-            result = monitor.request_inference(connection, batch_id, feeds)
+            result = monitor.request_inference(connection, batch_id, feeds, parent=parent)
         return result
-
-    def _past_deadline(self, deadline: float | None) -> bool:
-        return deadline is not None and self._clock() >= deadline
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -160,3 +128,13 @@ class ParallelStageExecutor:
 
     def __exit__(self, *exc) -> None:
         self.shutdown()
+
+
+@functools.cache
+def shared_executor() -> ParallelStageExecutor:
+    """The executor every monitor dispatches through (built on first use)."""
+    return ParallelStageExecutor()
+
+
+# A forked child inherits the executor but none of its threads.
+os.register_at_fork(after_in_child=shared_executor.cache_clear)

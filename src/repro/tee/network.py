@@ -36,6 +36,12 @@ class Fabric:
         """Create an endpoint (idempotent)."""
         self._endpoints.add(name)
 
+    def unregister(self, name: str) -> None:
+        """Remove an endpoint and drop the messages queued to or from it."""
+        self._endpoints.discard(name)
+        for key in [key for key in self._queues if name in key]:
+            del self._queues[key]
+
     def send(self, src: str, dst: str, data: bytes) -> None:
         """Deliver ``data`` from ``src`` to ``dst`` (via the adversary, if any)."""
         if dst not in self._endpoints:

@@ -19,7 +19,6 @@ import pytest
 
 from repro.cluster import (
     ClusterSupervisor,
-    ProcessDispatcher,
     RestartPolicy,
     WorkerCrashed,
 )
@@ -473,16 +472,93 @@ class TestProcessModeUpdates:
                 os.kill(pid, 0)
 
 
+class TestRetirement:
+    """A variant the monitor unbinds gives up its live worker; the slot
+    stays, so a re-provision brings the variant back."""
+
+    def assert_retired(self, system, variant_id, pid):
+        with pytest.raises(OSError):
+            os.kill(pid, 0)
+        live = [vid for vids in system.live_variants().values() for vid in vids]
+        assert variant_id not in live
+        assert system.cluster.live_worker_count() == len(live) == 4
+        transport = system.monitor.transport
+        assert variant_id not in transport.workers
+        assert variant_id not in transport.hosts
+        assert not list(Path("/dev/shm").glob(f"mvtee-{pid}-*"))
+
+    def test_retire_variant_stops_worker(self, small_resnet, small_input):
+        system = deploy_cluster(small_resnet)
+        try:
+            victim_id = sorted(v for v in system.cluster.workers() if v.startswith("p1-"))[0]
+            pid = system.cluster.worker(victim_id).pid
+            system.monitor.retire_variant(victim_id)
+            self.assert_retired(system, victim_id, pid)
+            system.reprovision(1, victim_id)
+            assert system.cluster.live_worker_count() == 5
+            assert system.cluster.worker(victim_id).pid != pid
+            system.infer({"input": small_input})
+            assert len(system.monitor.stage_connections(1)) == 3
+        finally:
+            system.shutdown()
+
+    def test_dropped_variant_stops_worker(self, small_resnet, small_input):
+        recorder = FlightRecorder()
+        system = deploy_cluster(small_resnet, recorder=recorder)
+        try:
+            system.monitor.response_action = ResponseAction.DROP_VARIANT
+            victim_id = sorted(v for v in system.cluster.workers() if v.startswith("p1-"))[0]
+            victim = system.cluster.worker(victim_id)
+            victim.inject_fault({"kind": "backend-bitflip", "bit": 30})
+            assert system.infer({"input": small_input})
+            self.assert_retired(system, victim_id, victim.pid)
+            # A protective stop is not a death: no crash, no restart.
+            assert not recorder.events(KIND_WORKER_EXITED)
+            assert system.cluster.abandoned_slots() == []
+        finally:
+            system.shutdown()
+
+
 # ----------------------------------------------------------------------
 # Serving engine over the cluster
 # ----------------------------------------------------------------------
 
 
 class TestServingOverCluster:
-    def test_engine_uses_cluster_dispatcher(self, cluster_system):
-        engine = cluster_system.serving_engine()
-        assert isinstance(engine._executor, ProcessDispatcher)
-        assert engine._executor.cluster is cluster_system.cluster
+    def test_crash_mid_batch_schedules_restart_without_heartbeat(
+        self, small_resnet, small_input
+    ):
+        """A worker SIGKILLed mid-batch is reported and its restart
+        scheduled by the failing round trip itself, not by a heartbeat
+        tick: the heartbeat here is far slower than the test."""
+        recorder = FlightRecorder()
+        system = deploy_cluster(small_resnet, recorder=recorder)
+        try:
+            system.monitor.response_action = ResponseAction.DROP_VARIANT
+            cluster = system.cluster
+            cluster.heartbeat_interval_s = 3600.0
+            # Let the tick in progress on the old interval run out.
+            time.sleep(0.3)
+            victim_id = sorted(v for v in cluster.workers() if v.startswith("p1-"))[0]
+            victim = cluster.worker(victim_id)
+            victim_pid = victim.pid
+            victim.configure(simulated_latency=0.5, realtime_latency=True)
+            with system.serving_engine() as engine:
+                ticket = engine.submit({"input": small_input})
+                time.sleep(0.2)  # the batch is waiting on the victim
+                os.kill(victim_pid, signal.SIGKILL)
+                assert ticket.result(timeout=60.0)  # 2-of-3 still agree
+            exited = recorder.events(KIND_WORKER_EXITED)
+            assert [e.data["pid"] for e in exited] == [victim_pid]
+            assert cluster.worker(victim_id) is None
+            # The restart is due after its backoff: one supervision tick
+            # (no heartbeat has run) refills the slot.
+            time.sleep(fast_policy().backoff_max_s)
+            cluster.poll()
+            assert cluster.live_worker_count() == 5
+            assert cluster.worker(victim_id).pid != victim_pid
+        finally:
+            system.shutdown()
 
     def test_engine_serves_over_workers(self, cluster_system, small_input):
         with cluster_system.serving_engine() as engine:

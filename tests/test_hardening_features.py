@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from repro.crypto.kdf import hkdf_sha256
-from repro.mvx import InferenceOptions, MvteeSystem
+from repro.mvx import MvteeSystem
 from repro.mvx.scheduler import validate_feeds
-from repro.serving import ParallelStageExecutor
 from repro.tee.channel import ChannelError, SecureChannel
 from repro.zoo import build_model
 
@@ -122,8 +121,10 @@ class TestDotExport:
 
 class TestParallelDispatch:
     def test_parallel_matches_serial(self, small_resnet, small_input):
+        # Without replicas every stage is one round trip on the calling
+        # thread; with three, the middle stage fans out to the pool.
         serial = MvteeSystem.deploy(
-            small_resnet, num_partitions=3, mvx_partitions={1: 3},
+            small_resnet, num_partitions=3, mvx_partitions={},
             seed=0, verify_partitions=False, verify_variants=False,
         )
         parallel = MvteeSystem.deploy(
@@ -131,10 +132,7 @@ class TestParallelDispatch:
             seed=0, verify_partitions=False, verify_variants=False,
         )
         out_s = serial.infer({"input": small_input})
-        with ParallelStageExecutor(max_workers=3) as executor:
-            out_p = parallel.infer(
-                {"input": small_input}, InferenceOptions(dispatcher=executor)
-            )
+        out_p = parallel.infer({"input": small_input})
         for name in out_s:
             assert np.allclose(out_s[name], out_p[name], atol=1e-6)
 
@@ -149,8 +147,7 @@ class TestParallelDispatch:
         system.monitor.response_action = ResponseAction.DROP_VARIANT
         victim = system.monitor.stage_connections(1)[0]
         FaultInjector(victim.host.runtime).arm_backend_bitflip(bit=30)
-        with ParallelStageExecutor(max_workers=3) as executor:
-            system.infer({"input": small_input}, InferenceOptions(dispatcher=executor))
+        system.infer({"input": small_input})
         assert system.monitor.divergence_events()
 
 

@@ -9,15 +9,18 @@ import numpy as np
 import pytest
 
 from repro.mvx import (
+    ExecutionMode,
     InferenceOptions,
     MonitorError,
     MvteeSystem,
     ResponseAction,
 )
 from repro.mvx.voting import VariantOutput
+from repro.mvx.wire import encode_message
 from repro.observability.metrics import MetricsRegistry
 from repro.observability.recorder import KIND_ENGINE_ERROR, FlightRecorder
 from repro.observability.sinks import Sinks
+from repro.observability.tracing import NullTracer
 from repro.runtime.faults import FaultInjector
 from repro.serving import (
     DeadlineExceeded,
@@ -219,20 +222,18 @@ class _BlockingSystem(_ProxySystem):
         return super().infer_batches(batches, options)
 
 
-class _FlakyDispatcher(ParallelStageExecutor):
-    """Raises an unexpected error on the first stage dispatch only."""
+def flaky_dispatch(monitor):
+    """Make the monitor's dispatch raise an unexpected error once."""
+    real = monitor._dispatch
+    fired = []
 
-    def __init__(self):
-        super().__init__(2)
-        self._fired = False
+    def dispatch(connections, batch_id, feeds, deadline):
+        if not fired:
+            fired.append(True)
+            raise RuntimeError("injected dispatch fault")
+        return real(connections, batch_id, feeds, deadline)
 
-    def dispatch(self, monitor, connections, batch_id, feeds, *, deadline=None):
-        if not self._fired:
-            self._fired = True
-            raise RuntimeError("injected dispatcher fault")
-        return super().dispatch(
-            monitor, connections, batch_id, feeds, deadline=deadline
-        )
+    return dispatch
 
 
 class TestInflightOverlap:
@@ -280,16 +281,18 @@ class TestInflightOverlap:
 
 
 class TestWorkerFaultContainment:
-    def test_unexpected_error_fails_batch_but_worker_survives(self, system):
+    def test_unexpected_error_fails_batch_but_worker_survives(
+        self, system, monkeypatch
+    ):
         recorder = FlightRecorder()
         engine = system.serving_engine(
             policy=ServingPolicy(max_batch_size=8, num_workers=1),
             sinks=Sinks(recorder=recorder),
         )
-        engine._executor = _FlakyDispatcher()
+        monkeypatch.setattr(system.monitor, "_dispatch", flaky_dispatch(system.monitor))
         with engine:
             doomed = engine.submit(feeds_for(0))
-            with pytest.raises(RuntimeError, match="injected dispatcher fault"):
+            with pytest.raises(RuntimeError, match="injected dispatch fault"):
                 doomed.result(timeout=30.0)
             assert doomed.state is TicketState.FAILED
             # The worker thread survived the unexpected error and the
@@ -304,7 +307,7 @@ class TestWorkerFaultContainment:
 
     def test_deadline_applies_to_single_variant_stage(self, system):
         # Partition 0 is single-variant: before routing the fast path
-        # through the dispatcher its stage ignored the batch deadline.
+        # through the dispatch pool its stage ignored the batch deadline.
         for connection in system.monitor.stage_connections(0):
             connection.host.simulated_latency = 0.2
             connection.host.realtime_latency = True
@@ -363,10 +366,11 @@ class _StubMonitor:
         self.scripts = scripts
         self.delay_s = delay_s
         self.metrics_registry = MetricsRegistry()
+        self.tracer = NullTracer()
         self.calls: list[str] = []
         self._lock = threading.Lock()
 
-    def request_inference(self, connection, batch_id, feeds):
+    def request_inference(self, connection, batch_id, feeds, *, parent=None):
         with self._lock:
             self.calls.append(connection.variant_id)
             outcome = self.scripts[connection.variant_id].pop(0)
@@ -384,7 +388,7 @@ class TestParallelStageExecutor:
         outputs = {v: {"t": np.full((1,), i, dtype=np.float32)} for i, v in enumerate("abc")}
         monitor = _StubMonitor({v: [outputs[v]] for v in "abc"})
         connections = [_StubConnection(v) for v in "abc"]
-        with ParallelStageExecutor(4) as executor:
+        with ParallelStageExecutor() as executor:
             results = executor.dispatch(monitor, connections, 0, {})
         assert [r.variant_id for r in results] == ["a", "b", "c"]
 
@@ -392,7 +396,7 @@ class TestParallelStageExecutor:
         good = {"t": np.ones((1,), dtype=np.float32)}
         monitor = _StubMonitor({"a": [good], "b": [None, good]})
         connections = [_StubConnection("a"), _StubConnection("b")]
-        with ParallelStageExecutor(4) as executor:
+        with ParallelStageExecutor() as executor:
             results = executor.dispatch(monitor, connections, 0, {})
         assert all(r.outputs is not None for r in results)
         assert monitor.calls.count("b") == 2  # failed once, retried once
@@ -403,7 +407,7 @@ class TestParallelStageExecutor:
         good = {"t": np.ones((1,), dtype=np.float32)}
         monitor = _StubMonitor({"a": [good], "b": [None]})
         connections = [_StubConnection("a"), _StubConnection("b", crashed=True)]
-        with ParallelStageExecutor(4) as executor:
+        with ParallelStageExecutor() as executor:
             results = executor.dispatch(monitor, connections, 0, {})
         assert results[1].outputs is None
         assert monitor.calls.count("b") == 1
@@ -412,7 +416,7 @@ class TestParallelStageExecutor:
         good = {"t": np.ones((1,), dtype=np.float32)}
         monitor = _StubMonitor({"a": [good], "b": [good]}, delay_s=0.2)
         connections = [_StubConnection("a"), _StubConnection("b")]
-        with ParallelStageExecutor(4) as executor:
+        with ParallelStageExecutor() as executor:
             with pytest.raises(DeadlineExceeded):
                 executor.dispatch(
                     monitor,
@@ -425,7 +429,7 @@ class TestParallelStageExecutor:
     def test_single_connection_stays_serial(self):
         good = {"t": np.ones((1,), dtype=np.float32)}
         monitor = _StubMonitor({"a": [good]})
-        with ParallelStageExecutor(4) as executor:
+        with ParallelStageExecutor() as executor:
             results = executor.dispatch(monitor, [_StubConnection("a")], 0, {})
         assert results[0].outputs is not None
 
@@ -434,7 +438,7 @@ class TestParallelStageExecutor:
         # deadline entirely and run the slow variant to completion.
         good = {"t": np.ones((1,), dtype=np.float32)}
         monitor = _StubMonitor({"a": [good]}, delay_s=0.2)
-        with ParallelStageExecutor(2) as executor:
+        with ParallelStageExecutor() as executor:
             with pytest.raises(DeadlineExceeded):
                 executor.dispatch(
                     monitor,
@@ -444,32 +448,98 @@ class TestParallelStageExecutor:
                     deadline=time.monotonic() + 0.02,
                 )
 
-    def test_bound_dispatcher_carries_deadline_without_shared_state(self):
-        good = {"t": np.ones((1,), dtype=np.float32)}
-        monitor = _StubMonitor({"a": [good], "b": [good]}, delay_s=0.2)
-        connections = [_StubConnection("a"), _StubConnection("b")]
-        with ParallelStageExecutor(4) as executor:
-            bound = executor.bind(time.monotonic() + 0.02)
-            with pytest.raises(DeadlineExceeded):
-                bound.dispatch(monitor, connections, 0, {})
-            assert not hasattr(executor, "deadline")  # no shared deadline state
-
     def test_dispatcher_threads_run_concurrently(self, system):
-        # Three replicas sleeping 30ms each: serial floor is 90ms, the
-        # parallel wall clock must land well under it.
+        # Three replicas sleeping 30ms each: the serial floor is 90ms; a
+        # plain infer fans them out, so its wall clock lands under it.
         for connection in system.monitor.stage_connections(1):
             connection.host.simulated_latency = 0.03
             connection.host.realtime_latency = True
-        with ParallelStageExecutor(4) as executor:
-            options = InferenceOptions(dispatcher=executor)
-            start = time.monotonic()
-            system.infer_batches([feeds_for(0)], options)
-            parallel_wall = time.monotonic() - start
+        system.infer(feeds_for(0))  # warm the shared pool's threads
         start = time.monotonic()
-        system.infer_batches([feeds_for(0)])
-        serial_wall = time.monotonic() - start
-        assert serial_wall > 0.09
-        assert parallel_wall < serial_wall
+        system.infer(feeds_for(0))
+        assert time.monotonic() - start < 0.09
+
+
+def slow_from_call(host, call: int, sleep_s: float) -> None:
+    """From its ``call``-th inference on, ``host`` sleeps before answering."""
+    real = host._handle_infer
+    calls = []
+
+    def handle_infer(meta, tensors):
+        calls.append(meta)
+        if len(calls) >= call:
+            time.sleep(sleep_s)
+        return real(meta, tensors)
+
+    host._handle_infer = handle_infer
+
+
+def fail_once_then_slow(host, sleep_s: float) -> None:
+    """``host`` answers its first inference with a typed error (a
+    transient fault: the host stays alive), then sleeps before each
+    later answer."""
+    real = host._handle_infer
+    calls = []
+
+    def handle_infer(meta, tensors):
+        calls.append(meta)
+        if len(calls) == 1:
+            return encode_message("error", {"reason": "transient glitch"})
+        time.sleep(sleep_s)
+        return real(meta, tensors)
+
+    host._handle_infer = handle_infer
+
+
+class TestDispatchDeadlines:
+    """Every round trip of a stage honours the batch deadline: a 1 s
+    replica stall must surface as DeadlineExceeded well before 1 s."""
+
+    DEADLINE_S = 0.2
+    STALL_S = 1.0
+    LIMIT_S = 0.6
+
+    def run_until_deadline(self, system, **options):
+        start = time.monotonic()
+        with pytest.raises(DeadlineExceeded):
+            system.infer(
+                feeds_for(0),
+                InferenceOptions(deadline=start + self.DEADLINE_S, **options),
+            )
+        return time.monotonic() - start
+
+    def test_deferred_laggard_check_honours_deadline(self, system):
+        # The slow replica is the async laggard: the quorum answers, and
+        # the deferred check at the next stage meets the stall.
+        laggard = system.monitor.stage_connections(1)[2].host
+        laggard.simulated_latency = self.STALL_S
+        laggard.realtime_latency = True
+        elapsed = self.run_until_deadline(system, mode=ExecutionMode.ASYNC)
+        assert elapsed < self.LIMIT_S
+        assert system.monitor._deferred, "the unchecked laggard stays queued"
+
+    def test_restart_batch_retry_honours_deadline(self, system):
+        system.monitor.response_action = ResponseAction.RESTART_BATCH
+        victim, *survivors = system.monitor.stage_connections(1)
+        FaultInjector(victim.host.runtime).arm_backend_bitflip(bit=30)
+        # The survivors answer the first round in time and stall on the
+        # re-execution that follows the dissent.
+        for connection in survivors:
+            slow_from_call(connection.host, 2, self.STALL_S)
+        elapsed = self.run_until_deadline(system)
+        assert elapsed < self.LIMIT_S
+        assert system.monitor.divergence_events()
+
+    def test_async_quorum_retry_honours_deadline(self, system):
+        # A quorum member fails transiently, and its retry stalls.
+        member = system.monitor.stage_connections(1)[0].host
+        fail_once_then_slow(member, self.STALL_S)
+        elapsed = self.run_until_deadline(system, mode=ExecutionMode.ASYNC)
+        assert elapsed < self.LIMIT_S
+        retries = system.monitor.metrics_registry.counter(
+            "mvtee_dispatch_retries_total"
+        )
+        assert retries.value(partition=1) >= 1
 
 
 class TestServingPolicyValidation:
@@ -480,7 +550,7 @@ class TestServingPolicyValidation:
             {"capacity": -1},
             {"max_batch_size": 0},
             {"max_wait_s": -0.001},
-            {"max_workers": 0},
+            {"num_workers": -1},
             {"num_workers": 0},
         ],
     )
@@ -491,8 +561,7 @@ class TestServingPolicyValidation:
 
     def test_boundary_values_accepted(self):
         policy = ServingPolicy(
-            capacity=1, max_batch_size=1, max_wait_s=0.0, max_workers=1,
-            num_workers=1,
+            capacity=1, max_batch_size=1, max_wait_s=0.0, num_workers=1,
         )
         assert policy.capacity == 1
 
